@@ -23,8 +23,9 @@ from .rank1 import (GabGroup, MatrixError, Rank1Matrix, Rank1Universe,
 from .rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL, UNKNOWN,
                         DerivationCertificate, EqualityVerdict,
                         NormalFormCertificate, RewriteSystem, RewritingError,
-                        Rule, derive_equal, enumerate_elements, equal_words,
-                        kb_complete, reduce, reduce_with_trace,
-                        replay_derivation, shortlex_less, verify_confluence)
+                        Rule, derivation_certificate, derive_equal,
+                        enumerate_elements, equal_words, kb_complete, reduce,
+                        reduce_with_trace, replay_derivation, rule_derivation,
+                        shortlex_less, traces_derivation, verify_confluence)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -78,13 +78,20 @@ def _emit(report: dict, summary, out_path):
         sys.stdout.write(body)
 
 
-def _cmd_laws(args) -> int:
-    t = _load_table(args.table)
+def _load_semigroup(path: str) -> CayleyTable:
+    """A table that must be associative.  The table keeps the scan's answer,
+    so the analyses that check it again do not rescan."""
+    t = _load_table(path)
     bad = associativity_failure(t)
     if bad is not None:
         raise _InputError(
-            f"{args.table}: not associative: ({bad[0]} {bad[1]}) {bad[2]} "
+            f"{path}: not associative: ({bad[0]} {bad[1]}) {bad[2]} "
             f"!= {bad[0]} ({bad[1]} {bad[2]})")
+    return t
+
+
+def _cmd_laws(args) -> int:
+    t = _load_semigroup(args.table)
     rep = check_laws(t)
     report = {"verb": "laws", "n": t.n, "associative": True,
               "laws": rep.to_json()}
@@ -155,12 +162,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_malcev(args) -> int:
-    t = _load_table(args.table)
-    bad = associativity_failure(t)
-    if bad is not None:
-        raise _InputError(
-            f"{args.table}: not associative: ({bad[0]} {bad[1]}) {bad[2]} "
-            f"!= {bad[0]} ({bad[1]} {bad[2]})")
+    t = _load_semigroup(args.table)
     rep = check_malcev_condition(t)
     report = {"verb": "malcev", "n": t.n}
     report.update(rep.to_json())
@@ -234,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=2,
                     help="probe all elements up to this length")
     sp.add_argument("--budget", type=int, default=DEFAULT_EQ_BUDGET,
-                    help="visited-word cap per relation-chain search")
+                    help="steps per witness derivation; visited words per "
+                         "pair search when the extension does not complete")
     sp.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
     sp.add_argument("--max-rule-len", type=int, default=DEFAULT_MAX_RULE_LEN)
     add_out(sp)

@@ -21,9 +21,12 @@ from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, EQUAL, DerivationCertificate,
-                        NormalFormCertificate, derive_equal,
-                        enumerate_elements, kb_complete, reduce,
-                        reduce_with_trace)
+                        NormalFormCertificate, derivation_certificate,
+                        derive_equal, enumerate_elements, kb_complete,
+                        reduce, reduce_with_trace, traces_derivation)
+
+# inconclusive pairs a report keeps; it counts them all
+MAX_INCONCLUSIVE_KEPT = 20
 
 
 class ProbeError(ValueError):
@@ -40,6 +43,10 @@ class CollisionWitness:
     g_certificate holds the two reduction traces to the shared G(M) normal
     form when the extension's rewriting system is confluent; derivation, when
     present, is a replayable chain of raw relation applications from u to v.
+    On the confluent path that chain is the two traces with each rule
+    expanded from its completion proof (see rewriting.traces_derivation),
+    so it is not necessarily shortest; derivation is None when it would exceed
+    the probe's budget.
     """
 
     u: Word
@@ -57,7 +64,8 @@ class EmbeddingReport:
     probe_length: int
     element_count: int
     witnesses: tuple             # CollisionWitness, minimal pair first
-    inconclusive: tuple          # (u, v) pairs the budget could not settle
+    inconclusive: tuple          # first (u, v) pairs the budget could not
+    inconclusive_count: int      # settle, and how many there were in all
     budget_spent: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -80,8 +88,8 @@ class EmbeddingReport:
             "probe_length": self.probe_length,
             "element_count": self.element_count,
             "witnesses": witnesses,
-            "inconclusive_count": len(self.inconclusive),
-            "inconclusive": [[ws(u), ws(v)] for u, v in self.inconclusive[:20]],
+            "inconclusive_count": self.inconclusive_count,
+            "inconclusive": [[ws(u), ws(v)] for u, v in self.inconclusive],
             "budget_spent": dict(self.budget_spent),
         }
 
@@ -95,9 +103,12 @@ def probe_embedding(p: Presentation, max_len: int,
 
     Needs a confluent completion of M itself (otherwise there is no element
     list to compare) and raises ProbeError when the rule budget cannot
-    deliver one.  The extension G(M) may fail to complete; the probe then
-    falls back to bounded relation-chain search per pair and marks pairs it
-    cannot settle as inconclusive.
+    deliver one.  When the extension G(M) completes, elements are bucketed
+    by their G(M) normal form and each colliding pair's derivation is built
+    from the completion record, capped at ``budget`` steps.  Otherwise the
+    probe falls back to a bounded relation-chain search per pair (``budget``
+    visited words each) and counts the pairs it cannot settle as
+    inconclusive, keeping the first MAX_INCONCLUSIVE_KEPT of them.
     """
     if p.kind != PLAIN:
         raise ProbeError("probe expects a plain monoid presentation, not an "
@@ -118,31 +129,42 @@ def probe_embedding(p: Presentation, max_len: int,
         "base_rules": len(rs_m.rules),
         "extension_rules": len(rs_g.rules),
         "extension_status": rs_g.status,
+        "buckets": 0,
         "pairs_checked": 0,
         "words_visited": 0,
+        "certificate_steps": 0,
+        "derivations_over_budget": 0,
     }
     n = len(elements)
     witnesses = []
     inconclusive = []
+    inconclusive_count = 0
     if rs_g.status == CONFLUENT:
         buckets: dict = {}
         for i, w in enumerate(elements):
             buckets.setdefault(reduce(w, rs_g), []).append(i)
-        spent["pairs_checked"] = n * (n - 1) // 2
+        spent["buckets"] = len(buckets)
         pairs = sorted((i, j)
                        for members in buckets.values() if len(members) > 1
                        for k, i in enumerate(members)
                        for j in members[k + 1:])
+        spent["pairs_checked"] = len(pairs)
         for i, j in pairs:
             u, v = elements[i], elements[j]
             nf_u, trace_u = reduce_with_trace(u, rs_g)
             nf_v, trace_v = reduce_with_trace(v, rs_g)
-            verdict = derive_equal(gm, u, v, budget=budget)
-            spent["words_visited"] += verdict.spent.get("visited", 0)
+            steps = traces_derivation(rs_g, trace_u, trace_v,
+                                      max_steps=budget)
+            if steps is None:
+                spent["derivations_over_budget"] += 1
+                derivation = None
+            else:
+                spent["certificate_steps"] += len(steps)
+                derivation = derivation_certificate(gm, u, steps)
             witnesses.append(CollisionWitness(
                 u, v, nf_u,
                 NormalFormCertificate(nf_u, nf_v, tuple(trace_u), tuple(trace_v)),
-                verdict.certificate if verdict.value == EQUAL else None))
+                derivation))
     else:
         found = False
         for i in range(n):
@@ -154,12 +176,16 @@ def probe_embedding(p: Presentation, max_len: int,
                 spent["pairs_checked"] += 1
                 spent["words_visited"] += verdict.spent.get("visited", 0)
                 if verdict.value == EQUAL:
+                    spent["certificate_steps"] += \
+                        len(verdict.certificate.steps)
                     witnesses.append(CollisionWitness(
                         elements[i], elements[j],
                         derivation=verdict.certificate))
                     found = True
                     break
-                inconclusive.append((elements[i], elements[j]))
+                inconclusive_count += 1
+                if len(inconclusive) < MAX_INCONCLUSIVE_KEPT:
+                    inconclusive.append((elements[i], elements[j]))
     if witnesses:
         status = "collision"
     elif inconclusive:
@@ -167,7 +193,7 @@ def probe_embedding(p: Presentation, max_len: int,
     else:
         status = "no-collision-found"
     return EmbeddingReport(p, gm, status, max_len, n, tuple(witnesses),
-                           tuple(inconclusive), spent)
+                           tuple(inconclusive), inconclusive_count, spent)
 
 
 # The three-relation monoid below satisfies no group law forcing u c = v d,

@@ -10,6 +10,7 @@ therefore documented by its literal equation schema.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TableError(ValueError):
@@ -44,6 +45,10 @@ class CayleyTable:
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _associativity_failure(self):
+        return _scan_associativity(self)
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -102,7 +107,12 @@ def closure(generators, mult, max_size: int = 4096):
 
 
 def associativity_failure(t: CayleyTable):
-    """First triple (x, y, z) with (xy)z != x(yz), or None."""
+    """First triple (x, y, z) with (xy)z != x(yz), or None.  The scan runs
+    once per table; later checks of the same table reuse its answer."""
+    return t._associativity_failure
+
+
+def _scan_associativity(t: CayleyTable):
     rows = t.rows
     n = t.n
     rng = range(n)

@@ -8,6 +8,13 @@ answer.  A confluent system decides word equality by normal forms; otherwise
 a bounded bidirectional search over raw relation applications can still
 certify equality (with a replayable derivation) or give up with "unknown".
 
+Completion also records where each rule came from: an input relation, a
+critical pair of two rule versions, a rule it killed and requeued, or a
+re-reduced right-hand side.  ``rule_derivation`` expands those records into
+raw relation steps, so a reduction trace becomes a replayable derivation
+without any search.  Such derivations are read off completion's proofs and
+are not necessarily shortest; the search finds shortest ones.
+
 Internally words are packed one letter per character into ordinary strings,
 so factor matching and replacement run on the C string machinery; the
 character code of a letter is its shortlex rank, which makes plain string
@@ -16,6 +23,7 @@ comparison agree with the letter order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,6 +43,10 @@ DEFAULT_EQ_BUDGET = 100_000
 DEFAULT_LEN_SLACK = 4
 
 _ENC_BASE = 33
+
+# completion's rule events and equation origins (see _Provenance)
+_ADD, _RHS, _KILL = "add", "rhs", "kill"
+_REL, _OVERLAP, _RULE = "relation", "overlap", "rule"
 
 
 class RewritingError(ValueError):
@@ -111,12 +123,15 @@ class RewriteSystem:
     ``status`` is ``confluent`` when every critical pair resolved during
     completion, ``budget-exhausted`` otherwise (the rules are still sound
     consequences of the relations, just not necessarily complete).
+    ``provenance`` is completion's record of where each rule came from; it
+    backs ``rule_derivation`` and takes no part in equality.
     """
 
     source: Presentation
     rules: tuple
     status: str
     letter_order: tuple
+    provenance: object = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _codec(self) -> _Codec:
@@ -147,7 +162,8 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     Relations are oriented and critical pairs resolved FIFO (smallest overlap
     first on ties) until no unresolved pair remains, or until more than
     ``max_rules`` rules have been added or a rule side would exceed
-    ``max_len`` letters.  The returned system is interreduced either way.
+    ``max_len`` letters.  The returned system is interreduced either way,
+    and records where each rule came from (see ``rule_derivation``).
     """
     if max_rules <= 0 or max_len <= 0:
         raise RewritingError("completion budgets must be positive")
@@ -158,7 +174,9 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     budget_hit = False
     tasks = deque()     # rule-index pairs whose overlaps are unexamined
     queued = set()
-    pending = deque()   # equations awaiting orientation
+    pending = deque()   # (a, b, origin): equations awaiting orientation
+    events = []         # rule history, see _Provenance
+    current = []        # rule index -> stamp of the event that set its rhs
 
     def reduce_enc(s, skip=None):
         while True:
@@ -173,7 +191,7 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     def process_pending():
         nonlocal n_added, budget_hit
         while pending:
-            a, b = pending.popleft()
+            a, b, origin = pending.popleft()
             oriented = _orient(reduce_enc(a), reduce_enc(b))
             if oriented is None:
                 continue
@@ -186,6 +204,8 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 return False
             n_added += 1
             k = len(rules)
+            current.append(len(events))
+            events.append((_ADD, k, l, r, a, b, origin))
             rules.append([l, r, True])
             for i in range(k):
                 li, ri, alive = rules[i]
@@ -193,9 +213,12 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                     continue
                 if l in li:
                     rules[i][2] = False
-                    pending.append((li, ri))
+                    pending.append((li, ri, (_RULE, current[i])))
+                    events.append((_KILL, i))
                 elif l in ri:
                     rules[i][1] = reduce_enc(ri)
+                    events.append((_RHS, i, rules[i][1], current[i]))
+                    current[i] = len(events) - 1
             for j in range(len(rules)):
                 if not rules[j][2]:
                     continue
@@ -205,8 +228,8 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                         tasks.append(pair)
         return True
 
-    for rel in p.relations:
-        pending.append((codec.enc(rel.lhs), codec.enc(rel.rhs)))
+    for idx, rel in enumerate(p.relations):
+        pending.append((codec.enc(rel.lhs), codec.enc(rel.rhs), (_REL, idx)))
     ok = process_pending()
 
     while ok and tasks:
@@ -218,31 +241,35 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
         cps = []
         for k in range(1, min(len(li), len(lj))):
             if lj.startswith(li[-k:]):
-                cps.append((li + lj[k:], ri + lj[k:], li[:-k] + rj))
+                cps.append((li + lj[k:], ri + lj[k:], li[:-k] + rj,
+                            (_OVERLAP, current[i], current[j], k)))
         cps.sort(key=lambda t: _sl_key(t[0]))
-        for _, a, b in cps:
-            pending.append((a, b))
+        for _, a, b, origin in cps:
+            pending.append((a, b, origin))
         ok = process_pending()
 
-    final = _tidy(rules, reduce_enc)
+    final = _tidy(rules, reduce_enc, events)
     status = BUDGET_EXHAUSTED if budget_hit else CONFLUENT
-    decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r in final)
-    order = codec.order
-    return RewriteSystem(p, decoded, status, order)
+    decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r, _ in final)
+    provenance = _Provenance(events, tuple((current[k], r)
+                                           for _, r, k in final))
+    return RewriteSystem(p, decoded, status, codec.order, provenance)
 
 
-def _tidy(rules, reduce_enc):
-    """Final interreduction: drop rules with reducible lhs, normalize rhs."""
+def _tidy(rules, reduce_enc, events):
+    """Final interreduction: drop rules with reducible lhs, normalize rhs.
+    Returns (lhs, rhs, rule index) in shortlex order of the sides."""
     for k, (l, r, alive) in enumerate(rules):
         if not alive:
             continue
         if reduce_enc(l, skip=k) != l:
             rules[k][2] = False
+            events.append((_KILL, k))
     out = []
     for k, (l, r, alive) in enumerate(rules):
         if alive:
-            out.append((l, reduce_enc(r)))
-    out.sort(key=lambda lr: (_sl_key(lr[0]), _sl_key(lr[1])))
+            out.append((l, reduce_enc(r), k))
+    out.sort(key=lambda lrk: (_sl_key(lrk[0]), _sl_key(lrk[1])))
     return out
 
 
@@ -394,6 +421,199 @@ def replay_derivation(p: Presentation, cert: DerivationCertificate) -> bool:
         except (RewritingError, IndexError):
             return False
     return True
+
+
+def derivation_certificate(p: Presentation, word: Word,
+                           steps) -> DerivationCertificate:
+    """The chain of words that ``steps`` pass through from ``word``; raises
+    RewritingError if a step does not fit."""
+    words = [word]
+    for step in steps:
+        words.append(apply_derivation_step(p, words[-1], step))
+    return DerivationCertificate(tuple(words), tuple(steps))
+
+
+# -- rule provenance ------------------------------------------------------
+
+
+def _reversed(parts):
+    return [(key, off, not fwd) for key, off, fwd in reversed(parts)]
+
+
+def _replay_reduce(s, state):
+    """kb_complete's reduce_enc over ``state``, (lhs, rhs, stamp) in rule
+    order, with each rule application recorded as a proof part."""
+    parts = []
+    while True:
+        t = s
+        for l, r, stamp in state:
+            pos = t.find(l)
+            if pos == -1:
+                continue
+            shift, grow = 0, len(r) - len(l)
+            while pos != -1:    # str.replace: non-overlapping, left to right
+                parts.append((stamp, pos + shift, True))
+                shift += grow
+                pos = t.find(l, pos + len(l))
+            t = t.replace(l, r)
+        if t == s:
+            return s, parts
+        s = t
+
+
+class _Provenance:
+    """Completion's record of where each rule came from, expanded into raw
+    relation chains on demand.
+
+    ``events`` is kb_complete's rule history; an event's index is its stamp.
+    ("add", k, lhs, rhs, a, b, origin) creates rule k from the equation
+    a = b, whose reduced sides are lhs and rhs; ("rhs", i, rhs, prev)
+    re-reduces the rhs of rule i that event ``prev`` set; ("kill", i) drops
+    rule i.  The rules in force at stamp t are those the events before t
+    leave alive, each with its latest rhs, and every reduction completion
+    made at stamp t used exactly those, so it can be replayed here.  An
+    origin is ("relation", idx), ("overlap", s_i, s_j, k), the overlap of
+    length k of the rule versions set by events s_i and s_j, or ("rule", s),
+    the killed rule version set by event s.  ``final`` holds, per final
+    rule, the stamp of its rule's last version and the final rhs, which the
+    rules in force at the end reduce that version's rhs to.
+
+    A proof is a list of parts (key, offset, forward) applied in turn: key
+    ~idx is input relation idx, key s < len(events) the rule version set by
+    event s, and key len(events) + m final rule m.  Every part of a proof
+    has a smaller key than the proof's own, so proofs are measured and
+    expanded bottom-up, without recursion.
+    """
+
+    def __init__(self, events, final):
+        self.events = events
+        self.final = final
+        self._sides = {}    # version or final key -> (lhs, rhs)
+        self._rules = []    # per rule index: [lhs, born, died, versions]
+        for stamp, event in enumerate(events):
+            if event[0] == _ADD:
+                self._rules.append([event[2], stamp, None, [stamp]])
+                self._sides[stamp] = (event[2], event[3])
+            elif event[0] == _RHS:
+                rule = self._rules[event[1]]
+                rule[3].append(stamp)
+                self._sides[stamp] = (rule[0], event[2])
+            else:
+                self._rules[event[1]][2] = stamp
+        end = len(events)
+        for m, (stamp, rhs) in enumerate(final):
+            self._sides[end + m] = (self._sides[stamp][0], rhs)
+        self._proofs = {}
+        self._lengths = {}
+
+    def _state(self, t):
+        """The rules in force at stamp t, as (lhs, rhs, version stamp)."""
+        out = []
+        for lhs, born, died, versions in self._rules:
+            if born >= t:
+                break
+            if died is None or died >= t:
+                v = versions[bisect_left(versions, t) - 1]
+                out.append((lhs, self._sides[v][1], v))
+        return out
+
+    def _origin(self, origin):
+        if origin[0] == _REL:
+            return [(~origin[1], 0, True)]
+        if origin[0] == _RULE:
+            return [(origin[1], 0, True)]
+        _, si, sj, k = origin
+        return [(si, 0, False), (sj, len(self._sides[si][0]) - k, True)]
+
+    def _proof(self, key):
+        end = len(self.events)
+        lhs, rhs = self._sides[key]
+        if key >= end:
+            prev, t = self.final[key - end][0], end
+        elif self.events[key][0] == _RHS:
+            prev, t = self.events[key][3], key
+        else:
+            _, _, _, _, a, b, origin = self.events[key]
+            state = self._state(key)
+            ra, trace_a = _replay_reduce(a, state)
+            rb, trace_b = _replay_reduce(b, state)
+            eq = self._origin(origin)
+            if (ra, rb) == (lhs, rhs):
+                return _reversed(trace_a) + eq + trace_b
+            if (rb, ra) == (lhs, rhs):
+                return _reversed(trace_b) + _reversed(eq) + trace_a
+            raise RewritingError("completion record does not replay")
+        got, trace = _replay_reduce(self._sides[prev][1], self._state(t))
+        if got != rhs:
+            raise RewritingError("completion record does not replay")
+        return [(prev, 0, True)] + trace
+
+    def length(self, key) -> int:
+        """Raw steps in the proof of ``key``; builds the proofs it uses."""
+        todo, found = [key], set()
+        while todo:
+            k = todo.pop()
+            if k < 0 or k in self._lengths or k in found:
+                continue
+            found.add(k)
+            if k not in self._proofs:
+                self._proofs[k] = self._proof(k)
+            todo.extend(part[0] for part in self._proofs[k])
+        lengths = self._lengths
+        for k in sorted(found):
+            lengths[k] = sum(lengths[p] if p >= 0 else 1
+                             for p, _, _ in self._proofs[k])
+        return lengths[key]
+
+    def expand(self, parts, max_steps=None):
+        """The raw steps (relation, pos, forward) of ``parts`` applied in
+        turn, or None when there are more than ``max_steps``."""
+        total = sum(self.length(k) for k, _, _ in parts)
+        if max_steps is not None and total > max_steps:
+            return None
+        out = []
+        stack = list(reversed(parts))
+        while stack:
+            k, off, fwd = stack.pop()
+            if k < 0:
+                out.append(DerivationStep(~k, off, fwd))
+                continue
+            proof = self._proofs[k]
+            stack.extend((p, off + o, f == fwd)
+                         for p, o, f in (reversed(proof) if fwd else proof))
+        return tuple(out)
+
+
+def _provenance(rs: RewriteSystem) -> _Provenance:
+    if rs.provenance is None:
+        raise RewritingError("the rewrite system has no completion record")
+    return rs.provenance
+
+
+def rule_derivation(rs: RewriteSystem, idx: int, max_steps=None):
+    """Raw relation steps that rewrite ``rs.rules[idx].lhs`` into its rhs,
+    over ``rs.source.relations``, read off the completion record rather
+    than searched for; the chain is not necessarily shortest.  Returns None
+    when it has more than ``max_steps`` steps.  Proofs of the rules a chain
+    uses are built on first use and kept on ``rs``."""
+    prov = _provenance(rs)
+    if not 0 <= idx < len(rs.rules):
+        raise RewritingError(f"no rule {idx}")
+    return prov.expand([(len(prov.events) + idx, 0, True)], max_steps)
+
+
+def traces_derivation(rs: RewriteSystem, trace_u, trace_v, max_steps=None):
+    """Raw relation steps from u to v, given ``reduce_with_trace`` traces
+    of u and v to the same normal form: each rule step of ``trace_u``
+    expanded at its offset, then those of ``trace_v`` in reverse.  Like
+    ``rule_derivation``, not necessarily shortest, and None when longer
+    than ``max_steps``."""
+    prov = _provenance(rs)
+    end = len(prov.events)
+    parts = [(end + step.rule, step.pos, True) for step in trace_u]
+    parts += _reversed([(end + step.rule, step.pos, True)
+                        for step in trace_v])
+    return prov.expand(parts, max_steps)
 
 
 def derive_equal(p: Presentation, u: Word, v: Word,

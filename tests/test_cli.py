@@ -146,8 +146,10 @@ def test_parse_error_names_line(tmp_path, capsys):
 def test_non_associative_table_exit2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "table": [[1, 0], [0, 0]]}))
-    assert main(["laws", str(path)]) == EXIT_INPUT
-    assert "not associative" in capsys.readouterr().err
+    for verb in ("laws", "malcev"):
+        assert main([verb, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"error: {path}: not associative: (0 0) 1 != 0 (0 1)\n"
     path.write_text("not json")
     assert main(["laws", str(path)]) == EXIT_INPUT
 

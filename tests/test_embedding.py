@@ -26,7 +26,8 @@ def test_probe_free_monoid_no_collision():
     rep = probe_embedding(FREE2, 4)
     assert rep.status == "no-collision-found"
     assert rep.element_count == 31          # 2^0 + ... + 2^4
-    assert rep.budget_spent["pairs_checked"] == 31 * 30 // 2 == 465
+    assert rep.budget_spent["buckets"] == 31
+    assert rep.budget_spent["pairs_checked"] == 0
     assert rep.witnesses == () and rep.inconclusive == ()
 
 
@@ -116,6 +117,35 @@ def test_probe_rejects_extension_kind():
 def test_probe_rejects_bad_length():
     with pytest.raises(ProbeError):
         probe_embedding(FREE2, 0)
+
+
+def test_probe_certificate_budget():
+    rep = probe_embedding(QUAD, 3)
+    longest = max(len(w.derivation.steps) for w in rep.witnesses)
+    assert rep.budget_spent["derivations_over_budget"] == 0
+    capped = probe_embedding(QUAD, 3, budget=longest - 1)
+    assert capped.status == "collision"
+    over = [w for w in capped.witnesses if w.derivation is None]
+    assert over and len(over) == capped.budget_spent["derivations_over_budget"]
+    assert capped.budget_spent["certificate_steps"] == sum(
+        len(w.derivation.steps) for w in capped.witnesses if w.derivation)
+    assert all("derivation" not in entry for entry, w in
+               zip(capped.to_json()["witnesses"], capped.witnesses)
+               if w.derivation is None)
+
+
+def test_probe_fallback_keeps_first_inconclusive_pairs():
+    # the free monoid completes with no rules; its extension needs four, so
+    # max_rules=1 sends the probe down the per-pair search
+    rep = probe_embedding(FREE2, 3, budget=50, max_rules=1)
+    assert rep.budget_spent["extension_status"] == "budget-exhausted"
+    assert rep.status == "inconclusive"
+    assert rep.budget_spent["pairs_checked"] == 15 * 14 // 2
+    assert rep.inconclusive_count == 105
+    assert len(rep.inconclusive) == 20
+    assert rep.inconclusive[0] == (FREE2.word("1"), FREE2.word("a"))
+    j = rep.to_json()
+    assert j["inconclusive_count"] == 105 and len(j["inconclusive"]) == 20
 
 
 def test_probe_base_budget_exhaustion():

@@ -1,15 +1,18 @@
+import hashlib
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from semilab.presentations import EMPTY, parse_presentation_text, build_gm
+from semilab.embedding import probe_embedding
 from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
-                               UNKNOWN, RewritingError, critical_pairs,
+                               UNKNOWN, RewriteSystem, RewritingError,
+                               critical_pairs, derivation_certificate,
                                derive_equal, enumerate_elements, equal_words,
                                kb_complete, reduce, reduce_with_trace,
-                               replay_derivation, shortlex_less,
-                               verify_confluence)
+                               replay_derivation, rule_derivation,
+                               shortlex_less, verify_confluence)
 
 
 def pres(text):
@@ -25,6 +28,7 @@ COMM = pres("letters: a b\nrel: b a = a b")
 QUAD = pres("letters: x y a b c d u v\nrel: x a = y b\nrel: x c = y d\n"
             "rel: u a = v b")
 Z2 = pres("letters: a\nrel: a a = 1")
+B3 = pres("letters: a b\nrel: a b a = b a b")
 
 CORPUS = [FREE2, IDEM, FREEGRP1, FREEGRP2, COMM, QUAD, build_gm(QUAD),
           build_gm(COMM), Z2]
@@ -291,3 +295,86 @@ def test_replay_rejects_tampered_certificates():
     cert = v.certificate
     bad = type(cert)(cert.words[:-1] + (Z2.word("a"),), cert.steps)
     assert not replay_derivation(Z2, bad)
+
+
+# -- completion records -------------------------------------------------------
+
+def rule_list_digest(rs):
+    text = "\n".join(f"{rs.source.word_str(r.lhs)} -> "
+                     f"{rs.source.word_str(r.rhs)}" for r in rs.rules)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def assert_rules_replay(rs):
+    p = rs.source
+    for idx, rule in enumerate(rs.rules):
+        cert = derivation_certificate(p, rule.lhs, rule_derivation(rs, idx))
+        assert cert.words[-1] == rule.rhs
+        assert replay_derivation(p, cert)
+
+
+# completions that stop at a budget, pinned to the rule lists they gave
+# before completion kept records: the records must not change the rules
+GOLDEN_EXHAUSTED = [
+    (B3, {}, 47, "f9498c22db323467"),
+    (B3, {"max_len": 6}, 3, "fcce6bbc78d3ba06"),
+    (build_gm(B3), {"max_rules": 40}, 30, "96e87506247c6729"),
+    (build_gm(B3), {"max_rules": 1}, 1, "e71166a34fea7c06"),
+]
+
+
+@pytest.mark.parametrize("p, budgets, count, digest", GOLDEN_EXHAUSTED)
+def test_kb_budget_exhausted_rule_lists_golden(p, budgets, count, digest):
+    rs = kb_complete(p, **budgets)
+    assert rs.status == BUDGET_EXHAUSTED
+    assert len(rs.rules) == count
+    assert rule_list_digest(rs) == digest
+    assert_rules_replay(rs)
+
+
+A8_CORPUS = [QUAD, build_gm(QUAD), FREE2, build_gm(FREE2), COMM,
+             build_gm(COMM), IDEM, FREEGRP1]
+
+
+@given(st.sampled_from(A8_CORPUS + [FREEGRP2, Z2, B3]),
+       st.integers(1, 40), st.integers(1, 8))
+def test_rule_derivation_replays_every_rule(p, max_rules, max_len):
+    assert_rules_replay(kb_complete(p, max_rules=max_rules, max_len=max_len))
+
+
+def test_rule_derivation_replays_corpus_at_default_budgets():
+    for p in A8_CORPUS:
+        rs = kb_complete(p)
+        assert rs.status == CONFLUENT
+        assert_rules_replay(rs)
+
+
+def test_rule_derivation_budget_and_misuse():
+    rs = kb_complete(B3, max_len=10)
+    longest = max(len(rule_derivation(rs, i)) for i in range(len(rs.rules)))
+    assert longest > 1
+    assert all(rule_derivation(rs, i, max_steps=longest) is not None
+               for i in range(len(rs.rules)))
+    assert any(rule_derivation(rs, i, max_steps=longest - 1) is None
+               for i in range(len(rs.rules)))
+    with pytest.raises(RewritingError):
+        rule_derivation(rs, len(rs.rules))
+    bare = RewriteSystem(rs.source, rs.rules, rs.status, rs.letter_order)
+    assert bare == rs
+    with pytest.raises(RewritingError):
+        rule_derivation(bare, 0)
+
+
+def test_probe_certificates_agree_with_search():
+    # the confluent path reads certificates off completion; the search it
+    # replaced must still find every pair equal
+    rep = probe_embedding(QUAD, 3)
+    assert len(rep.witnesses) == 17
+    assert rep.budget_spent["words_visited"] == 0
+    for w in rep.witnesses:
+        cert = w.derivation
+        assert cert.words[0] == w.u and cert.words[-1] == w.v
+        assert replay_derivation(rep.gm, cert)
+        assert derive_equal(rep.gm, w.u, w.v).value == EQUAL
+    assert rep.budget_spent["certificate_steps"] == \
+        sum(len(w.derivation.steps) for w in rep.witnesses)
