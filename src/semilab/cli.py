@@ -125,6 +125,7 @@ def _cmd_kb(args) -> int:
     rs = kb_complete(p, max_rules=args.max_rules, max_len=args.max_rule_len)
     report = {"verb": "kb",
               "status": rs.status,
+              "budget_hit": rs.budget_hit,
               "rule_count": len(rs.rules),
               "rules": [{"lhs": p.word_str(r.lhs), "rhs": p.word_str(r.rhs)}
                         for r in rs.rules],
@@ -236,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=2,
                     help="probe all elements up to this length")
     sp.add_argument("--budget", type=int, default=DEFAULT_EQ_BUDGET,
-                    help="steps per witness derivation; visited words per "
-                         "pair search when the extension does not complete")
+                    help="steps per witness derivation; when the extension "
+                         "does not complete, words visited by all pair "
+                         "searches together")
     sp.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
     sp.add_argument("--max-rule-len", type=int, default=DEFAULT_MAX_RULE_LEN)
     add_out(sp)

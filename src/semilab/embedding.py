@@ -16,6 +16,7 @@ building G(M).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 
 from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
@@ -106,9 +107,11 @@ def probe_embedding(p: Presentation, max_len: int,
     deliver one.  When the extension G(M) completes, elements are bucketed
     by their G(M) normal form and each colliding pair's derivation is built
     from the completion record, capped at ``budget`` steps.  Otherwise the
-    probe falls back to a bounded relation-chain search per pair (``budget``
-    visited words each) and counts the pairs it cannot settle as
-    inconclusive, keeping the first MAX_INCONCLUSIVE_KEPT of them.
+    probe falls back to a bounded relation-chain search per pair, in order,
+    until one finds a collision or the searches have visited ``budget``
+    words in all; each search gets what the ones before it left.  The pairs
+    not settled, searched or not reached, are inconclusive: the report
+    counts them and keeps the first MAX_INCONCLUSIVE_KEPT.
     """
     if p.kind != PLAIN:
         raise ProbeError("probe expects a plain monoid presentation, not an "
@@ -137,7 +140,6 @@ def probe_embedding(p: Presentation, max_len: int,
     }
     n = len(elements)
     witnesses = []
-    inconclusive = []
     inconclusive_count = 0
     if rs_g.status == CONFLUENT:
         buckets: dict = {}
@@ -166,34 +168,32 @@ def probe_embedding(p: Presentation, max_len: int,
                 NormalFormCertificate(nf_u, nf_v, tuple(trace_u), tuple(trace_v)),
                 derivation))
     else:
-        found = False
-        for i in range(n):
-            if found:
+        for u, v in combinations(elements, 2):
+            left = budget - spent["words_visited"]
+            if left < 2:    # a search visits its two end words first
                 break
-            for j in range(i + 1, n):
-                verdict = derive_equal(gm, elements[i], elements[j],
-                                       budget=budget)
-                spent["pairs_checked"] += 1
-                spent["words_visited"] += verdict.spent.get("visited", 0)
-                if verdict.value == EQUAL:
-                    spent["certificate_steps"] += \
-                        len(verdict.certificate.steps)
-                    witnesses.append(CollisionWitness(
-                        elements[i], elements[j],
-                        derivation=verdict.certificate))
-                    found = True
-                    break
-                inconclusive_count += 1
-                if len(inconclusive) < MAX_INCONCLUSIVE_KEPT:
-                    inconclusive.append((elements[i], elements[j]))
+            verdict = derive_equal(gm, u, v, budget=left)
+            spent["pairs_checked"] += 1
+            spent["words_visited"] += verdict.spent["visited"]
+            if verdict.value == EQUAL:
+                spent["certificate_steps"] += len(verdict.certificate.steps)
+                witnesses.append(CollisionWitness(
+                    u, v, derivation=verdict.certificate))
+                break
+        # a search never answers distinct: the pairs before a collision
+        # stay unsettled, and with no collision every pair does
+        inconclusive_count = spent["pairs_checked"] - 1 if witnesses \
+            else n * (n - 1) // 2
+    kept = min(inconclusive_count, MAX_INCONCLUSIVE_KEPT)
+    inconclusive = tuple(islice(combinations(elements, 2), kept))
     if witnesses:
         status = "collision"
-    elif inconclusive:
+    elif inconclusive_count:
         status = "inconclusive"
     else:
         status = "no-collision-found"
     return EmbeddingReport(p, gm, status, max_len, n, tuple(witnesses),
-                           tuple(inconclusive), inconclusive_count, spent)
+                           inconclusive, inconclusive_count, spent)
 
 
 # The three-relation monoid below satisfies no group law forcing u c = v d,

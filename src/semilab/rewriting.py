@@ -18,7 +18,10 @@ are not necessarily shortest; the search finds shortest ones.
 Internally words are packed one letter per character into ordinary strings,
 so factor matching and replacement run on the C string machinery; the
 character code of a letter is its shortlex rank, which makes plain string
-comparison agree with the letter order.
+comparison agree with the letter order.  One reduction engine, ``_reduce``,
+rewrites such strings: completion reduces with it, the completion record
+replays those reductions with it, and ``reduce_with_trace`` traces with it,
+so all three apply rules in the same sweep order.
 """
 
 from __future__ import annotations
@@ -64,21 +67,16 @@ class _Codec:
             raise RewritingError("letter_order must be a permutation of the "
                                  "base letter ids")
         self.order = order
-        self._pos = {bid: i for i, bid in enumerate(order)}
-
-    def enc_letter(self, letter: Letter) -> str:
-        return chr(_ENC_BASE + 2 * self._pos[letter.id]
-                   + (1 if letter.barred else 0))
+        self._letter = {chr(_ENC_BASE + 2 * i + barred): Letter(bid, barred)
+                        for i, bid in enumerate(order)
+                        for barred in (False, True)}
+        self._char = {letter: ch for ch, letter in self._letter.items()}
 
     def enc(self, word: Word) -> str:
-        return "".join(self.enc_letter(letter) for letter in word)
+        return "".join(map(self._char.__getitem__, word))
 
     def dec(self, s: str) -> Word:
-        out = []
-        for ch in s:
-            rank = ord(ch) - _ENC_BASE
-            out.append(Letter(self.order[rank // 2], bool(rank % 2)))
-        return tuple(out)
+        return tuple(map(self._letter.__getitem__, s))
 
 
 def _sl_key(s: str):
@@ -122,15 +120,18 @@ class RewriteSystem:
 
     ``status`` is ``confluent`` when every critical pair resolved during
     completion, ``budget-exhausted`` otherwise (the rules are still sound
-    consequences of the relations, just not necessarily complete).
-    ``provenance`` is completion's record of where each rule came from; it
-    backs ``rule_derivation`` and takes no part in equality.
+    consequences of the relations, just not necessarily complete), and
+    ``budget_hit`` then names the limit that stopped completion:
+    ``"max_rules"`` or ``"max_rule_len"``.  ``provenance`` is completion's
+    record of where each rule came from; it backs ``rule_derivation``.
+    Neither takes part in equality.
     """
 
     source: Presentation
     rules: tuple
     status: str
     letter_order: tuple
+    budget_hit: str | None = field(default=None, compare=False)
     provenance: object = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -139,13 +140,41 @@ class RewriteSystem:
 
     @cached_property
     def _enc_rules(self) -> tuple:
+        """The rules as ``_reduce`` takes them: (lhs, rhs, rule index)."""
         c = self._codec
-        return tuple((c.enc(r.lhs), c.enc(r.rhs)) for r in self.rules)
+        return tuple((c.enc(r.lhs), c.enc(r.rhs), k)
+                     for k, r in enumerate(self.rules))
 
-    @cached_property
-    def _alphabet_chars(self) -> tuple:
-        return tuple(sorted(self._codec.enc_letter(l)
-                            for l in self.source.alphabet))
+
+def _reduce(s, rules):
+    """Rewrite ``s`` with ``rules``, (lhs, rhs, key) triples in order, until
+    no lhs occurs.  Each sweep takes the rules in turn and replaces every
+    occurrence of a lhs, left to right and without overlaps (``str.replace``);
+    sweeps repeat until one changes nothing.  Returns the reduced string and
+    the applied parts (key, offset, True), in order, each offset into the
+    string as the parts before it left it."""
+    parts = []
+    while True:
+        t = s
+        for l, r, key in rules:
+            if l not in t:
+                continue
+            pos, shift, grow = t.find(l), 0, len(r) - len(l)
+            while pos != -1:
+                parts.append((key, pos + shift, True))
+                shift += grow
+                pos = t.find(l, pos + len(l))
+            t = t.replace(l, r)
+        if t == s:
+            return s, parts
+        s = t
+
+
+def _overlaps(li: str, lj: str) -> list:
+    """Lengths k, ascending, of the proper overlaps where a suffix of ``li``
+    is a prefix of ``lj``."""
+    return [k for k in range(1, min(len(li), len(lj)))
+            if lj.startswith(li[-k:])]
 
 
 def _orient(a: str, b: str):
@@ -159,73 +188,58 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 letter_order=None) -> RewriteSystem:
     """Knuth-Bendix completion under shortlex, with budgets.
 
-    Relations are oriented and critical pairs resolved FIFO (smallest overlap
-    first on ties) until no unresolved pair remains, or until more than
-    ``max_rules`` rules have been added or a rule side would exceed
-    ``max_len`` letters.  The returned system is interreduced either way,
-    and records where each rule came from (see ``rule_derivation``).
+    Relations are oriented and critical pairs resolved FIFO (shortest
+    overlap word first on ties) until no unresolved pair remains, or until
+    more than ``max_rules`` rules have been added or a rule side would
+    exceed ``max_len`` letters; ``budget_hit`` names the one that tripped.
+    The returned system is interreduced either way, and records where each
+    rule came from (see ``rule_derivation``).
     """
     if max_rules <= 0 or max_len <= 0:
         raise RewritingError("completion budgets must be positive")
     codec = _Codec(p, letter_order)
 
-    rules = []          # [lhs, rhs, alive]
+    # live rules in index order: index -> (lhs, rhs, stamp of the event
+    # that set rhs), the shape _Provenance._state gives
+    rules = {}
     n_added = 0
-    budget_hit = False
+    budget_hit = None
     tasks = deque()     # rule-index pairs whose overlaps are unexamined
-    queued = set()
     pending = deque()   # (a, b, origin): equations awaiting orientation
     events = []         # rule history, see _Provenance
-    current = []        # rule index -> stamp of the event that set its rhs
-
-    def reduce_enc(s, skip=None):
-        while True:
-            t = s
-            for k, (l, r, alive) in enumerate(rules):
-                if alive and k != skip and l in t:
-                    t = t.replace(l, r)
-            if t == s:
-                return s
-            s = t
 
     def process_pending():
         nonlocal n_added, budget_hit
         while pending:
             a, b, origin = pending.popleft()
-            oriented = _orient(reduce_enc(a), reduce_enc(b))
+            oriented = _orient(_reduce(a, rules.values())[0],
+                               _reduce(b, rules.values())[0])
             if oriented is None:
                 continue
             l, r = oriented
             if len(l) > max_len:
-                budget_hit = True
+                budget_hit = "max_rule_len"
                 return False
             if n_added >= max_rules:
-                budget_hit = True
+                budget_hit = "max_rules"
                 return False
+            k = n_added
             n_added += 1
-            k = len(rules)
-            current.append(len(events))
+            older = list(rules.items())
+            rules[k] = (l, r, len(events))
             events.append((_ADD, k, l, r, a, b, origin))
-            rules.append([l, r, True])
-            for i in range(k):
-                li, ri, alive = rules[i]
-                if not alive:
-                    continue
+            for i, (li, ri, si) in older:
                 if l in li:
-                    rules[i][2] = False
-                    pending.append((li, ri, (_RULE, current[i])))
+                    del rules[i]
+                    pending.append((li, ri, (_RULE, si)))
                     events.append((_KILL, i))
                 elif l in ri:
-                    rules[i][1] = reduce_enc(ri)
-                    events.append((_RHS, i, rules[i][1], current[i]))
-                    current[i] = len(events) - 1
-            for j in range(len(rules)):
-                if not rules[j][2]:
-                    continue
-                for pair in ((k, j), (j, k)) if j != k else ((k, k),):
-                    if pair not in queued:
-                        queued.add(pair)
-                        tasks.append(pair)
+                    ri = _reduce(ri, rules.values())[0]
+                    rules[i] = (li, ri, len(events))
+                    events.append((_RHS, i, ri, si))
+            # k is new, so none of its pairs has been queued before
+            for j in rules:
+                tasks.extend(((k, j), (j, k)) if j != k else ((k, k),))
         return True
 
     for idx, rel in enumerate(p.relations):
@@ -234,74 +248,54 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
 
     while ok and tasks:
         i, j = tasks.popleft()
-        if not (rules[i][2] and rules[j][2]):
+        if i not in rules or j not in rules:
             continue
-        li, ri = rules[i][0], rules[i][1]
-        lj, rj = rules[j][0], rules[j][1]
-        cps = []
-        for k in range(1, min(len(li), len(lj))):
-            if lj.startswith(li[-k:]):
-                cps.append((li + lj[k:], ri + lj[k:], li[:-k] + rj,
-                            (_OVERLAP, current[i], current[j], k)))
-        cps.sort(key=lambda t: _sl_key(t[0]))
-        for _, a, b, origin in cps:
-            pending.append((a, b, origin))
+        li, ri, si = rules[i]
+        lj, rj, sj = rules[j]
+        # a longer overlap gives a shorter overlap word li + lj[k:]
+        for k in reversed(_overlaps(li, lj)):
+            pending.append((ri + lj[k:], li[:-k] + rj, (_OVERLAP, si, sj, k)))
         ok = process_pending()
 
-    final = _tidy(rules, reduce_enc, events)
+    final = _tidy(rules, events)
     status = BUDGET_EXHAUSTED if budget_hit else CONFLUENT
     decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r, _ in final)
-    provenance = _Provenance(events, tuple((current[k], r)
-                                           for _, r, k in final))
-    return RewriteSystem(p, decoded, status, codec.order, provenance)
+    provenance = _Provenance(events, tuple((stamp, r)
+                                           for _, r, stamp in final))
+    return RewriteSystem(p, decoded, status, codec.order,
+                         budget_hit=budget_hit, provenance=provenance)
 
 
-def _tidy(rules, reduce_enc, events):
-    """Final interreduction: drop rules with reducible lhs, normalize rhs.
-    Returns (lhs, rhs, rule index) in shortlex order of the sides."""
-    for k, (l, r, alive) in enumerate(rules):
-        if not alive:
-            continue
-        if reduce_enc(l, skip=k) != l:
-            rules[k][2] = False
+def _tidy(rules, events):
+    """Final interreduction: drop rules whose lhs contains another live lhs,
+    normalize rhs.  Returns (lhs, rhs, stamp) in shortlex order of the
+    sides."""
+    for k, (l, _, _) in list(rules.items()):
+        if any(lo in l for ko, (lo, _, _) in rules.items() if ko != k):
+            del rules[k]
             events.append((_KILL, k))
-    out = []
-    for k, (l, r, alive) in enumerate(rules):
-        if alive:
-            out.append((l, reduce_enc(r), k))
-    out.sort(key=lambda lrk: (_sl_key(lrk[0]), _sl_key(lrk[1])))
+    out = [(l, _reduce(r, rules.values())[0], stamp)
+           for l, r, stamp in rules.values()]
+    out.sort(key=lambda lrs: (_sl_key(lrs[0]), _sl_key(lrs[1])))
     return out
 
 
-def _leftmost_step(s, enc_rules):
-    best_pos, best_idx = -1, -1
-    for idx, (l, _) in enumerate(enc_rules):
-        pos = s.find(l)
-        if pos != -1 and (best_pos == -1 or pos < best_pos):
-            best_pos, best_idx = pos, idx
-    return (best_pos, best_idx) if best_idx != -1 else None
-
-
 def reduce_with_trace(word: Word, rs: RewriteSystem):
-    """Deterministic reduction (leftmost match, lowest rule index on ties);
-    returns the irreducible word and the applied steps."""
-    s = rs._codec.enc(word)
-    enc_rules = rs._enc_rules
-    steps = []
-    while True:
-        hit = _leftmost_step(s, enc_rules)
-        if hit is None:
-            break
-        pos, idx = hit
-        l, r = enc_rules[idx]
-        s = s[:pos] + r + s[pos + len(l):]
-        steps.append(ReductionStep(idx, pos))
-    return rs._codec.dec(s), tuple(steps)
+    """The irreducible form of ``word`` and the steps that reach it, in
+    completion's sweep order: each sweep applies the rules in index order,
+    each at every non-overlapping occurrence from left to right, until a
+    sweep changes nothing.  Every step applies to the word the steps before
+    it left.  On a confluent system the irreducible form is the unique
+    normal form; on a budget-exhausted one it can depend on this order."""
+    s, parts = _reduce(rs._codec.enc(word), rs._enc_rules)
+    return rs._codec.dec(s), tuple(ReductionStep(k, pos)
+                                   for k, pos, _ in parts)
 
 
 def reduce(word: Word, rs: RewriteSystem) -> Word:
-    """The word rewritten until no rule lhs occurs as a factor."""
-    return reduce_with_trace(word, rs)[0]
+    """The word rewritten until no rule lhs occurs as a factor, in the order
+    of ``reduce_with_trace``."""
+    return rs._codec.dec(_reduce(rs._codec.enc(word), rs._enc_rules)[0])
 
 
 def critical_pairs(rs: RewriteSystem):
@@ -310,13 +304,12 @@ def critical_pairs(rs: RewriteSystem):
     enc_rules = rs._enc_rules
     dec = rs._codec.dec
     out = []
-    for i, (li, ri) in enumerate(enc_rules):
-        for j, (lj, rj) in enumerate(enc_rules):
-            for k in range(1, min(len(li), len(lj))):
-                if lj.startswith(li[-k:]):
-                    out.append((dec(li + lj[k:]),
-                                dec(ri + lj[k:]),
-                                dec(li[:-k] + rj)))
+    for li, ri, i in enc_rules:
+        for lj, rj, j in enc_rules:
+            for k in _overlaps(li, lj):
+                out.append((dec(li + lj[k:]),
+                            dec(ri + lj[k:]),
+                            dec(li[:-k] + rj)))
             if i != j and lj in li:
                 start = 0
                 while (pos := li.find(lj, start)) != -1:
@@ -343,8 +336,8 @@ def enumerate_elements(rs: RewriteSystem, max_len: int):
     system."""
     if rs.status != CONFLUENT:
         raise RewritingError("element enumeration requires a confluent system")
-    lhss = tuple(l for l, _ in rs._enc_rules)
-    chars = rs._alphabet_chars
+    lhss = tuple(l for l, _, _ in rs._enc_rules)
+    chars = sorted(rs._codec.enc(rs.source.alphabet))
     dec = rs._codec.dec
     out = [EMPTY]
     level = [""]
@@ -440,27 +433,6 @@ def _reversed(parts):
     return [(key, off, not fwd) for key, off, fwd in reversed(parts)]
 
 
-def _replay_reduce(s, state):
-    """kb_complete's reduce_enc over ``state``, (lhs, rhs, stamp) in rule
-    order, with each rule application recorded as a proof part."""
-    parts = []
-    while True:
-        t = s
-        for l, r, stamp in state:
-            pos = t.find(l)
-            if pos == -1:
-                continue
-            shift, grow = 0, len(r) - len(l)
-            while pos != -1:    # str.replace: non-overlapping, left to right
-                parts.append((stamp, pos + shift, True))
-                shift += grow
-                pos = t.find(l, pos + len(l))
-            t = t.replace(l, r)
-        if t == s:
-            return s, parts
-        s = t
-
-
 class _Provenance:
     """Completion's record of where each rule came from, expanded into raw
     relation chains on demand.
@@ -535,15 +507,15 @@ class _Provenance:
         else:
             _, _, _, _, a, b, origin = self.events[key]
             state = self._state(key)
-            ra, trace_a = _replay_reduce(a, state)
-            rb, trace_b = _replay_reduce(b, state)
+            ra, trace_a = _reduce(a, state)
+            rb, trace_b = _reduce(b, state)
             eq = self._origin(origin)
             if (ra, rb) == (lhs, rhs):
                 return _reversed(trace_a) + eq + trace_b
             if (rb, ra) == (lhs, rhs):
                 return _reversed(trace_b) + _reversed(eq) + trace_a
             raise RewritingError("completion record does not replay")
-        got, trace = _replay_reduce(self._sides[prev][1], self._state(t))
+        got, trace = _reduce(self._sides[prev][1], self._state(t))
         if got != rhs:
             raise RewritingError("completion record does not replay")
         return [(prev, 0, True)] + trace
@@ -623,7 +595,8 @@ def derive_equal(p: Presentation, u: Word, v: Word,
     """Bounded bidirectional search for a derivation u = v over the raw
     relations.  Never answers "distinct": the outcome is equal (with a
     replayable derivation) or unknown once ``budget`` visited words or the
-    length cap prune the search."""
+    length cap prune the search.  The two end words count as visited, and no
+    other word is visited past ``budget``."""
     codec = _Codec(p, letter_order)
     rels = []
     for idx, rel in enumerate(p.relations):
@@ -641,12 +614,8 @@ def derive_equal(p: Presentation, u: Word, v: Word,
         out = []
         for idx, a, b in rels:
             for old, new, fwd in ((a, b, True), (b, a, False)):
-                if not old:
-                    if len(w) + len(new) <= maxlen:
-                        for pos in range(len(w) + 1):
-                            out.append((w[:pos] + new + w[pos:],
-                                        (idx, pos, fwd)))
-                elif len(w) - len(old) + len(new) <= maxlen:
+                # an empty ``old`` is found at every position: an insertion
+                if len(w) - len(old) + len(new) <= maxlen:
                     start = 0
                     while (pos := w.find(old, start)) != -1:
                         out.append((w[:pos] + new + w[pos + len(old):],
@@ -667,14 +636,14 @@ def derive_equal(p: Presentation, u: Word, v: Word,
             for t, step in neighbors(w):
                 if t in here:
                     continue
+                if spent["visited"] >= budget:
+                    return EqualityVerdict(UNKNOWN, None, spent)
                 here[t] = (w, step)
                 spent["visited"] += 1
                 nxt.append(t)
                 if t in there:
                     meet = t
                     break
-                if spent["visited"] >= budget:
-                    return EqualityVerdict(UNKNOWN, None, spent)
             if meet is not None:
                 break
         frontiers[side] = nxt
@@ -682,27 +651,18 @@ def derive_equal(p: Presentation, u: Word, v: Word,
     if meet is None:
         return EqualityVerdict(UNKNOWN, None, spent)
 
-    def path_to(side, w):
-        chain = []
+    def steps_to(side, w):
+        """The steps from the side's end word to w."""
+        out = []
         while parents[side][w] is not None:
-            parent, step = parents[side][w]
-            chain.append((parent, step, w))
-            w = parent
-        chain.reverse()
-        return chain
+            w, step = parents[side][w]
+            out.append(step)
+        return out[::-1]
 
-    words = [su]
-    steps = []
-    for _, step, child in path_to(0, meet):
-        steps.append(DerivationStep(*step))
-        words.append(child)
-    for parent, (idx, pos, fwd), _ in reversed(path_to(1, meet)):
-        steps.append(DerivationStep(idx, pos, not fwd))
-        words.append(parent)
-
-    cert = DerivationCertificate(tuple(codec.dec(w) for w in words),
-                                 tuple(steps))
-    return EqualityVerdict(EQUAL, cert, spent)
+    steps = [DerivationStep(*step) for step in steps_to(0, meet)]
+    steps += [DerivationStep(idx, pos, not fwd)
+              for idx, pos, fwd in reversed(steps_to(1, meet))]
+    return EqualityVerdict(EQUAL, derivation_certificate(p, u, steps), spent)
 
 
 def equal_words(system_or_presentation, u: Word, v: Word,

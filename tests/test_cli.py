@@ -119,6 +119,28 @@ def test_kb_budget_exhaustion_exit3(tmp_path, capsys):
     assert rep["rule_count"] >= 1          # partial report still written
 
 
+def test_kb_names_the_budget_hit(tmp_path, quad, capsys):
+    path = tmp_path / "b3.pres"
+    path.write_text("letters: a b\nrel: a b a = b a b\n")
+    code, rep = run_json(capsys, ["kb", str(path)])
+    assert code == EXIT_BUDGET and rep["budget_hit"] == "max_rule_len"
+    code, rep = run_json(capsys, ["kb", str(path), "--max-rules", "5"])
+    assert code == EXIT_BUDGET and rep["budget_hit"] == "max_rules"
+    code, rep = run_json(capsys, ["kb", quad])
+    assert code == EXIT_OK and rep["budget_hit"] is None
+
+
+def test_probe_fallback_budget_exit3(tmp_path, capsys):
+    path = tmp_path / "free2.pres"
+    path.write_text("letters: a b\n")
+    code, rep = run_json(capsys, ["probe", str(path), "--max-len", "3",
+                                  "--max-rules", "1", "--budget", "1000"])
+    assert code == EXIT_BUDGET
+    assert rep["status"] == "inconclusive"
+    assert rep["budget_spent"]["words_visited"] <= 1000
+    assert rep["inconclusive_count"] == 105
+
+
 def test_probe_base_budget_exit3(tmp_path, capsys):
     path = tmp_path / "freegrp.pres"
     path.write_text(FREEGRP2_TEXT)

@@ -136,8 +136,9 @@ def test_probe_certificate_budget():
 
 def test_probe_fallback_keeps_first_inconclusive_pairs():
     # the free monoid completes with no rules; its extension needs four, so
-    # max_rules=1 sends the probe down the per-pair search
-    rep = probe_embedding(FREE2, 3, budget=50, max_rules=1)
+    # max_rules=1 sends the probe down the per-pair search; the default
+    # budget lets every one of the 105 searches run
+    rep = probe_embedding(FREE2, 3, max_rules=1)
     assert rep.budget_spent["extension_status"] == "budget-exhausted"
     assert rep.status == "inconclusive"
     assert rep.budget_spent["pairs_checked"] == 15 * 14 // 2
@@ -146,6 +147,18 @@ def test_probe_fallback_keeps_first_inconclusive_pairs():
     assert rep.inconclusive[0] == (FREE2.word("1"), FREE2.word("a"))
     j = rep.to_json()
     assert j["inconclusive_count"] == 105 and len(j["inconclusive"]) == 20
+
+
+def test_probe_fallback_budget_is_global():
+    rep = probe_embedding(FREE2, 3, budget=1000, max_rules=1)
+    spent = rep.budget_spent
+    assert spent["words_visited"] <= 1000
+    assert 0 < spent["pairs_checked"] < 105
+    # the pairs the budget did not reach are inconclusive too
+    assert rep.status == "inconclusive"
+    assert rep.inconclusive_count == 105
+    assert len(rep.inconclusive) == 20
+    assert rep.inconclusive[0] == (FREE2.word("1"), FREE2.word("a"))
 
 
 def test_probe_base_budget_exhaustion():

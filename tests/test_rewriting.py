@@ -32,6 +32,8 @@ B3 = pres("letters: a b\nrel: a b a = b a b")
 
 CORPUS = [FREE2, IDEM, FREEGRP1, FREEGRP2, COMM, QUAD, build_gm(QUAD),
           build_gm(COMM), Z2]
+A8_CORPUS = [QUAD, build_gm(QUAD), FREE2, build_gm(FREE2), COMM,
+             build_gm(COMM), IDEM, FREEGRP1]
 
 
 # -- ordering ---------------------------------------------------------------
@@ -144,12 +146,17 @@ def test_reduce_single_rule_substitution():
     assert reduce(QUAD.word("y d"), rs) == QUAD.word("x c")
 
 
-def test_reduce_trace_replays_and_descends():
-    rs = kb_complete(FREEGRP1)
-    p = FREEGRP1
-    w = p.word("a a' a a a' a'")
+# the A8 corpus completes; G(B3+) stops at the rule budget
+TRACE_SYSTEMS = [kb_complete(p) for p in A8_CORPUS] + \
+    [kb_complete(build_gm(B3), max_rules=40)]
+
+
+@given(st.data())
+def test_reduce_trace_replays_and_descends(data):
+    rs = data.draw(st.sampled_from(TRACE_SYSTEMS))
+    w = tuple(data.draw(st.lists(st.sampled_from(rs.source.alphabet),
+                                 max_size=12)))
     nf, steps = reduce_with_trace(w, rs)
-    assert nf == EMPTY
     cur = w
     for step in steps:
         rule = rs.rules[step.rule]
@@ -157,7 +164,18 @@ def test_reduce_trace_replays_and_descends():
         nxt = cur[:step.pos] + rule.rhs + cur[step.pos + len(rule.lhs):]
         assert shortlex_less(nxt, cur)
         cur = nxt
-    assert cur == nf
+    assert cur == nf == reduce(w, rs)
+    assert not any(_contains(nf, rule.lhs) for rule in rs.rules)
+
+
+def test_reduce_trace_follows_completion_sweeps():
+    # each sweep applies rule 0 (a a -> a) at every non-overlapping match,
+    # then rule 1 (b b -> b); leftmost-first would start with rule 1 at 0
+    p = pres("letters: a b\nrel: a a = a\nrel: b b = b")
+    rs = kb_complete(p)
+    nf, steps = reduce_with_trace(p.word("b b b a a a"), rs)
+    assert nf == p.word("b a")
+    assert [(s.rule, s.pos) for s in steps] == [(0, 3), (1, 0), (0, 2), (1, 0)]
 
 
 def test_reduce_leftmost_first():
@@ -330,10 +348,6 @@ def test_kb_budget_exhausted_rule_lists_golden(p, budgets, count, digest):
     assert len(rs.rules) == count
     assert rule_list_digest(rs) == digest
     assert_rules_replay(rs)
-
-
-A8_CORPUS = [QUAD, build_gm(QUAD), FREE2, build_gm(FREE2), COMM,
-             build_gm(COMM), IDEM, FREEGRP1]
 
 
 @given(st.sampled_from(A8_CORPUS + [FREEGRP2, Z2, B3]),
