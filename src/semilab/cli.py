@@ -26,9 +26,8 @@ from .embedding import ProbeError, check_malcev_condition, probe_embedding
 from .fields import FieldError
 from .finite import (CayleyTable, TableError, associativity_failure,
                      check_laws, enumerate_semigroups)
-from .presentations import (ParseError, PresentationError, build_gm,
-                            format_presentation, parse_presentation_file,
-                            presentation_to_json)
+from .presentations import (PresentationError, build_gm, format_presentation,
+                            parse_presentation_file, presentation_to_json)
 from .rank1 import MatrixError, rank1_universe
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, RewritingError, kb_complete)
@@ -61,9 +60,7 @@ def _load_presentation(path: str):
         return parse_presentation_file(path)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
-    except ParseError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-    except PresentationError as exc:
+    except PresentationError as exc:    # ParseError is one
         raise _InputError(f"{path}: {exc}") from None
 
 
@@ -278,11 +275,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.run(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (TableError, PresentationError, MatrixError, FieldError,
-            RewritingError, ProbeError) as exc:
+    except (_InputError, TableError, PresentationError, MatrixError,
+            FieldError, RewritingError, ProbeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

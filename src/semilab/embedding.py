@@ -233,32 +233,31 @@ class MalcevReport:
 
 def check_malcev_condition(t: CayleyTable) -> MalcevReport:
     """Scan all (a, b, c, d, u, v, x, y) with x a = y b, x c = y d,
-    u a = v b and report every tuple where u c != v d."""
+    u a = v b and report every tuple where u c != v d.
+
+    With P_ab = {(x, y) : x a = y b}, the anchors (x, y) of a system
+    (a, b, c, d) are P_ab & P_cd, the systems checked number
+    |P_ab| * |anchors|, and the violations are (P_ab - P_cd) x anchors,
+    listed in lexicographic order."""
     if not is_associative(t):
         raise TableError("the quadruple condition is checked on semigroups; "
                          "table is not associative")
-    n = t.n
-    rows = t.rows
-    rng = range(n)
-    eq_pairs: dict = {}
-    for a in rng:
-        for b in rng:
-            eq_pairs[(a, b)] = [(x, y) for x in rng for y in rng
-                                if rows[x][a] == rows[y][b]]
+    rng = range(t.n)
+    cols = tuple(zip(*t.rows))
+    eq_pairs = {(a, b): [(x, y) for x, xa in enumerate(cols[a])
+                         for y, yb in enumerate(cols[b]) if xa == yb]
+                for a in rng for b in rng}
+    eq_sets = {ab: set(pairs) for ab, pairs in eq_pairs.items()}
     checked = 0
     violations = []
-    for a in rng:
-        for b in rng:
-            w_ab = eq_pairs[(a, b)]
-            for c in rng:
-                for d in rng:
-                    anchors = [(x, y) for x, y in w_ab
-                               if rows[x][c] == rows[y][d]]
-                    if not anchors:
-                        continue
-                    for u, v in w_ab:
-                        for x, y in anchors:
-                            checked += 1
-                            if rows[u][c] != rows[v][d]:
-                                violations.append((a, b, c, d, u, v, x, y))
+    for (a, b), p_ab in eq_pairs.items():
+        for (c, d), p_cd in eq_sets.items():
+            anchors = [xy for xy in p_ab if xy in p_cd]
+            if not anchors:
+                continue
+            checked += len(p_ab) * len(anchors)
+            for u, v in p_ab:
+                if (u, v) not in p_cd:
+                    violations.extend((a, b, c, d, u, v, x, y)
+                                      for x, y in anchors)
     return MalcevReport(checked, tuple(violations))

@@ -49,12 +49,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -113,12 +107,6 @@ class RationalField:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
 
     def mul(self, a, b):
         return a * b

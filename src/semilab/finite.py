@@ -168,26 +168,29 @@ class LawReport:
         }
 
 
+def _solution_counts(t: CayleyTable) -> tuple:
+    """counts[a][b] = #{X : X a = b}, filled in one pass over the table.
+    On ``t.transpose()`` it counts the solutions of a X = b instead."""
+    n = t.n
+    counts = [[0] * n for _ in range(n)]
+    for row in t.rows:
+        for a, b in enumerate(row):
+            counts[a][b] += 1
+    return tuple(map(tuple, counts))
+
+
 def check_laws(t: CayleyTable) -> LawReport:
-    """Evaluate all four laws; rejects non-associative tables."""
+    """Evaluate all four laws; rejects non-associative tables.  Unique means
+    no equation has two solutions, solvable that none has zero."""
     if not is_associative(t):
         raise TableError("check_laws requires an associative table")
-    n = t.n
-    rng = range(n)
-    rows = t.rows
-    left_unique = all(
-        len({rows[x][a] for x in rng}) == n for a in rng)
-    right_unique = all(len(set(rows[a])) == n for a in rng)
-    left_counts = tuple(
-        tuple(sum(1 for x in rng if rows[x][a] == b) for b in rng)
-        for a in rng)
-    right_counts = tuple(
-        tuple(sum(1 for x in rng if rows[a][x] == b) for b in rng)
-        for a in rng)
+    left = _solution_counts(t)
+    right = _solution_counts(t.transpose())
     return LawReport(
-        left_unique, right_unique, left_counts, right_counts,
-        all(c >= 1 for row in left_counts for c in row),
-        all(c >= 1 for row in right_counts for c in row))
+        max(map(max, left), default=0) <= 1,
+        max(map(max, right), default=0) <= 1, left, right,
+        min(map(min, left), default=1) >= 1,
+        min(map(min, right), default=1) >= 1)
 
 
 def identity_of(t: CayleyTable):
@@ -240,24 +243,16 @@ def decompose_right_group(t: CayleyTable) -> RightGroupDecomposition:
     violated hypothesis otherwise."""
     if not is_associative(t):
         raise TableError("decompose_right_group requires an associative table")
-    n = t.n
-    rng = range(n)
-    for a in rng:
-        row = t.rows[a]
-        hit = set(row)
-        for b in rng:
-            if b not in hit:
-                raise DecompositionError(
-                    "right-unlimited", (a, b),
-                    f"a X = b has no solution: a={a}, b={b}")
-        seen = {}
-        for x in rng:
-            if row[x] in seen:
-                raise DecompositionError(
-                    "left-cancellation", (seen[row[x]], x),
-                    f"a x = a y with x != y: a={a}, x={seen[row[x]]}, y={x}")
-            seen[row[x]] = x
+    # each row of counts sums to n, so with no count 0 every count is 1:
+    # a X = b always solvable already gives ax = ay implies x = y
+    for a, row in enumerate(_solution_counts(t.transpose())):
+        if 0 in row:
+            b = row.index(0)
+            raise DecompositionError(
+                "right-unlimited", (a, b),
+                f"a X = b has no solution: a={a}, b={b}")
 
+    rng = range(t.n)
     idempotents = tuple(e for e in rng if t.rows[e][e] == e)
     if not idempotents:
         raise DecompositionError("structure", (0, 0), "no idempotent exists")

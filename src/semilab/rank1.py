@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .fields import dot, is_zero_vector, scale, vector, GF
-from .finite import CayleyTable
+from .finite import CayleyTable, table_from_product
 
 
 class MatrixError(ValueError):
@@ -263,10 +263,7 @@ def rank1_universe(n: int, p: int, cap: int = 512) -> Rank1Universe:
     for c in dirs:
         for r in nonzero_rows:
             elements.append(Rank1Matrix(field, n, c, r))
-    index = {m: k for k, m in enumerate(elements)}
-    table = CayleyTable(tuple(
-        tuple(index[multiply(m1, m2)] for m2 in elements)
-        for m1 in elements))
+    table = table_from_product(elements, multiply)
     idempotents = tuple(k for k in range(len(elements))
                         if table.rows[k][k] == k)
     groups = []

@@ -43,7 +43,8 @@ UNKNOWN = "unknown"
 DEFAULT_MAX_RULES = 500
 DEFAULT_MAX_RULE_LEN = 50
 DEFAULT_EQ_BUDGET = 100_000
-DEFAULT_LEN_SLACK = 4
+# letters a derive_equal search may add beyond the longer end word
+LEN_SLACK = 4
 
 _ENC_BASE = 33
 
@@ -53,22 +54,15 @@ _REL, _OVERLAP, _RULE = "relation", "overlap", "rule"
 
 
 class RewritingError(ValueError):
-    """Misuse of the rewriting machinery (bad order, non-confluent input...)."""
+    """Misuse of the rewriting machinery (bad budget, non-confluent input...)."""
 
 
 class _Codec:
     """Packs words into strings; character order realizes the letter order."""
 
-    def __init__(self, p: Presentation, letter_order=None):
-        n = len(p.names)
-        order = tuple(letter_order) if letter_order is not None \
-            else tuple(range(n))
-        if sorted(order) != list(range(n)):
-            raise RewritingError("letter_order must be a permutation of the "
-                                 "base letter ids")
-        self.order = order
-        self._letter = {chr(_ENC_BASE + 2 * i + barred): Letter(bid, barred)
-                        for i, bid in enumerate(order)
+    def __init__(self, p: Presentation):
+        self._letter = {chr(_ENC_BASE + 2 * bid + barred): Letter(bid, barred)
+                        for bid in range(len(p.names))
                         for barred in (False, True)}
         self._char = {letter: ch for ch, letter in self._letter.items()}
 
@@ -83,19 +77,12 @@ def _sl_key(s: str):
     return (len(s), s)
 
 
-def shortlex_less(u: Word, v: Word, order=None) -> bool:
-    """True iff u precedes v in shortlex: shorter first, letter order breaking
-    length ties (``order`` is a permutation of base letter ids)."""
+def shortlex_less(u: Word, v: Word) -> bool:
+    """True iff u precedes v in shortlex: shorter first, the order of the
+    ``letters:`` line breaking length ties."""
     if len(u) != len(v):
         return len(u) < len(v)
-    if order is None:
-        ku = tuple(l.rank for l in u)
-        kv = tuple(l.rank for l in v)
-    else:
-        pos = {bid: i for i, bid in enumerate(order)}
-        ku = tuple(2 * pos[l.id] + l.barred for l in u)
-        kv = tuple(2 * pos[l.id] + l.barred for l in v)
-    return ku < kv
+    return tuple(l.rank for l in u) < tuple(l.rank for l in v)
 
 
 @dataclass(frozen=True)
@@ -130,13 +117,12 @@ class RewriteSystem:
     source: Presentation
     rules: tuple
     status: str
-    letter_order: tuple
     budget_hit: str | None = field(default=None, compare=False)
     provenance: object = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _codec(self) -> _Codec:
-        return _Codec(self.source, self.letter_order)
+        return _Codec(self.source)
 
     @cached_property
     def _enc_rules(self) -> tuple:
@@ -184,8 +170,7 @@ def _orient(a: str, b: str):
 
 
 def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
-                max_len: int = DEFAULT_MAX_RULE_LEN,
-                letter_order=None) -> RewriteSystem:
+                max_len: int = DEFAULT_MAX_RULE_LEN) -> RewriteSystem:
     """Knuth-Bendix completion under shortlex, with budgets.
 
     Relations are oriented and critical pairs resolved FIFO (shortest
@@ -197,7 +182,7 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     """
     if max_rules <= 0 or max_len <= 0:
         raise RewritingError("completion budgets must be positive")
-    codec = _Codec(p, letter_order)
+    codec = _Codec(p)
 
     # live rules in index order: index -> (lhs, rhs, stamp of the event
     # that set rhs), the shape _Provenance._state gives
@@ -262,8 +247,8 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r, _ in final)
     provenance = _Provenance(events, tuple((stamp, r)
                                            for _, r, stamp in final))
-    return RewriteSystem(p, decoded, status, codec.order,
-                         budget_hit=budget_hit, provenance=provenance)
+    return RewriteSystem(p, decoded, status, budget_hit=budget_hit,
+                         provenance=provenance)
 
 
 def _tidy(rules, events):
@@ -589,22 +574,20 @@ def traces_derivation(rs: RewriteSystem, trace_u, trace_v, max_steps=None):
 
 
 def derive_equal(p: Presentation, u: Word, v: Word,
-                 budget: int = DEFAULT_EQ_BUDGET,
-                 len_slack: int = DEFAULT_LEN_SLACK,
-                 letter_order=None) -> EqualityVerdict:
+                 budget: int = DEFAULT_EQ_BUDGET) -> EqualityVerdict:
     """Bounded bidirectional search for a derivation u = v over the raw
     relations.  Never answers "distinct": the outcome is equal (with a
     replayable derivation) or unknown once ``budget`` visited words or the
     length cap prune the search.  The two end words count as visited, and no
     other word is visited past ``budget``."""
-    codec = _Codec(p, letter_order)
+    codec = _Codec(p)
     rels = []
     for idx, rel in enumerate(p.relations):
         a, b = codec.enc(rel.lhs), codec.enc(rel.rhs)
         if a != b:
             rels.append((idx, a, b))
     su, sv = codec.enc(u), codec.enc(v)
-    maxlen = max(len(su), len(sv)) + len_slack
+    maxlen = max(len(su), len(sv)) + LEN_SLACK
     spent = {"visited": 2, "max_word_len": maxlen}
 
     if su == sv:
@@ -682,6 +665,5 @@ def equal_words(system_or_presentation, u: Word, v: Word,
             cert = NormalFormCertificate(nf_u, nf_v, trace_u, trace_v)
             value = EQUAL if nf_u == nf_v else DISTINCT
             return EqualityVerdict(value, cert, {"reductions": 2})
-        return derive_equal(arg.source, u, v, budget,
-                            letter_order=arg.letter_order)
+        arg = arg.source
     return derive_equal(arg, u, v, budget)

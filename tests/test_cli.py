@@ -1,10 +1,15 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from semilab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from semilab.rank1 import rank1_universe
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 QUAD_TEXT = """\
 letters: x y a b c d u v
@@ -203,6 +208,35 @@ def test_reports_byte_identical(quad, z3, tmp_path):
         assert main(argv + ["--out", str(a)]) == EXIT_OK
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the stdout report; "@" names a file under inputs/, and
+# "@rank1-1-5" the table of rank1_universe(1, 5)
+GOLDEN_TABLE_REPORTS = {
+    ("laws", "@z3.json"):
+        "915479097bbdef2531f317db014da41b8b65757827a6efaa8ce03a6d72c21541",
+    ("laws", "@left-zero-2.json"):
+        "5e095a61ba585c0d625df704cbb5cfb67406061d19fb9bc686a853776a600b9b",
+    ("malcev", "@z3.json"):
+        "bf774ca0ac834a8350f55fffa2e79adff40a452ada70d7f16deb68771a7ed72a",
+    ("malcev", "@left-zero-2.json"):
+        "f92f8ff72c52c3f6b1979e6ddcef40c4be54d7e6c60617daaebd1e1d94586a50",
+    ("malcev", "@rank1-1-5"):
+        "9ea0da839490df154e5ce9e4677f9b4ed4867cdf8b2b07c230a2cc9dfd0b786b",
+    ("rank1", "--n", "2", "--p", "3"):
+        "e84c1bf7dc7c9639a8639ca5eeb3bdb36bbb75395bcdcec403acbb25a4d3dc18",
+}
+
+
+def test_table_reports_match_golden_digests(tmp_path, capsys):
+    r15 = tmp_path / "rank1-1-5.json"
+    r15.write_text(json.dumps(rank1_universe(1, 5).table.to_json()))
+    paths = {f"@{f.name}": str(f) for f in INPUTS.glob("*.json")}
+    paths["@rank1-1-5"] = str(r15)
+    for argv, digest in GOLDEN_TABLE_REPORTS.items():
+        assert main([paths.get(a, a) for a in argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_console_entry_point(quad):

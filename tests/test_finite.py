@@ -136,15 +136,27 @@ def test_transpose_duality_all_small_semigroups():
 
 
 def test_laws_counts_match_definition():
-    # counts[a][b] literally counts solutions of X a = b / a X = b
+    # counts[a][b] literally counts solutions of X a = b / a X = b, and the
+    # four booleans are their literal equation schemas
     for t in enumerate_semigroups(3):
         rep = check_laws(t)
-        for a in range(3):
-            for b in range(3):
+        rng = range(3)
+        for a in rng:
+            for b in rng:
                 assert rep.left_unlimited[a][b] == sum(
-                    1 for x in range(3) if t.rows[x][a] == b)
+                    1 for x in rng if t.rows[x][a] == b)
                 assert rep.right_unlimited[a][b] == sum(
-                    1 for x in range(3) if t.rows[a][x] == b)
+                    1 for x in rng if t.rows[a][x] == b)
+        assert rep.left_unique == all(
+            x == y for a in rng for x in rng for y in rng
+            if t.rows[x][a] == t.rows[y][a])
+        assert rep.right_unique == all(
+            x == y for a in rng for x in rng for y in rng
+            if t.rows[a][x] == t.rows[a][y])
+        assert rep.left_solvable == all(
+            any(t.rows[x][a] == b for x in rng) for a in rng for b in rng)
+        assert rep.right_solvable == all(
+            any(t.rows[a][x] == b for x in rng) for a in rng for b in rng)
 
 
 # -- groups -----------------------------------------------------------------

@@ -55,9 +55,11 @@ def test_shortlex_barred_ranks_after_partner():
 
 
 def test_shortlex_respects_custom_order():
-    a, b = FREE2.alphabet
-    assert shortlex_less((a,), (b,))
-    assert shortlex_less((b,), (a,), order=(b.id, a.id))
+    # the letters: line is the letter order
+    assert shortlex_less(FREE2.word("a"), FREE2.word("b"))
+    ba = pres("letters: b a")
+    assert shortlex_less(ba.word("b"), ba.word("a"))
+    assert shortlex_less(ba.word("b a"), ba.word("a b"))
 
 
 def test_shortlex_total_order_exhaustive():
@@ -120,15 +122,14 @@ def _contains(word, factor):
 
 
 def test_kb_custom_letter_order_flips_orientation():
-    # with b declared heavier, b a = a b orients one way; reversing the
-    # order reverses the rule
+    # with b declared heavier, b a = a b orients one way; declaring the
+    # letters in reverse order reverses the rule
     rs = kb_complete(COMM)
     (rule,) = rs.rules
     assert COMM.word_str(rule.lhs) == "b a"
-    a, b = COMM.alphabet
-    rs2 = kb_complete(COMM, letter_order=(b.id, a.id))
-    (rule2,) = rs2.rules
-    assert COMM.word_str(rule2.lhs) == "a b"
+    comm_ba = pres("letters: b a\nrel: b a = a b")
+    (rule2,) = kb_complete(comm_ba).rules
+    assert comm_ba.word_str(rule2.lhs) == "a b"
 
 
 # -- reduction --------------------------------------------------------------
@@ -373,7 +374,7 @@ def test_rule_derivation_budget_and_misuse():
                for i in range(len(rs.rules)))
     with pytest.raises(RewritingError):
         rule_derivation(rs, len(rs.rules))
-    bare = RewriteSystem(rs.source, rs.rules, rs.status, rs.letter_order)
+    bare = RewriteSystem(rs.source, rs.rules, rs.status)
     assert bare == rs
     with pytest.raises(RewritingError):
         rule_derivation(bare, 0)
