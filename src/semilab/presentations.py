@@ -20,6 +20,7 @@ Text format (one presentation per file)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 PLAIN = "plain-monoid"
 GROUP_COMPLETION = "group-completion"
@@ -40,11 +41,12 @@ class ParseError(PresentationError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class Letter(NamedTuple):
     """One alphabet letter: an index into the base-name table plus a mirror
     flag.  A letter and its barred partner share ``id`` and differ in
-    ``barred``; sort order puts each barred letter right after its partner."""
+    ``barred``; sort order puts each barred letter right after its partner.
+    A letter is a plain tuple, so it hashes and compares as one and equals
+    the tuple ``(id, barred)``."""
 
     id: int
     barred: bool = False
@@ -223,74 +225,59 @@ def build_gm(p: Presentation) -> Presentation:
 def parse_presentation_text(text: str) -> Presentation:
     """Parse the presentation text format; raises ParseError with the line
     number on malformed input."""
-    names: list = []
-    letters: list = []
-    letter_set = set()
+    alpha = None        # the alphabet's Presentation, once its line is read
     relations = []
     kind = PLAIN
-    saw_letters = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("letters:"):
-            if saw_letters:
-                raise ParseError(lineno, "duplicate letters line")
-            saw_letters = True
-            for token in line[len("letters:"):].split():
-                barred = token.endswith("'")
-                base = token[:-1] if barred else token
-                if not _valid_name(base):
-                    raise ParseError(lineno, f"invalid letter name {token!r}")
-                if base not in names:
-                    names.append(base)
-                letter = Letter(names.index(base), barred)
-                if letter in letter_set:
-                    raise ParseError(lineno, f"duplicate letter {token!r}")
-                letter_set.add(letter)
-                letters.append(letter)
-            if not letters:
-                raise ParseError(lineno, "empty letters line")
-        elif line.startswith("kind:"):
-            kind = line[len("kind:"):].strip()
-            if kind not in _KINDS:
-                raise ParseError(lineno, f"unknown kind {kind!r}")
-        elif line.startswith("rel:"):
-            if not saw_letters:
-                raise ParseError(lineno, "relation before letters line")
-            body = line[len("rel:"):]
-            if body.count("=") != 1:
-                raise ParseError(lineno, "relation needs exactly one '='")
-            sides = []
-            for part in body.split("="):
-                tokens = part.split()
-                if not tokens:
-                    raise ParseError(lineno, "empty relation side (use 1)")
-                if tokens == [_IDENTITY_TOKEN]:
-                    sides.append(EMPTY)
-                    continue
-                word = []
-                for token in tokens:
-                    barred = token.endswith("'")
-                    base = token[:-1] if barred else token
-                    letter = Letter(names.index(base), barred) \
-                        if base in names else None
-                    if letter is None or letter not in letter_set:
-                        raise ParseError(lineno, f"unknown letter {token!r}")
-                    word.append(letter)
-                sides.append(tuple(word))
-            relations.append(Relation(sides[0], sides[1]))
-        else:
-            raise ParseError(lineno, f"unrecognized line {line!r}")
+        try:
+            if line.startswith("letters:"):
+                if alpha is not None:
+                    raise PresentationError("duplicate letters line")
+                alpha = _alphabet(line[len("letters:"):].split())
+            elif line.startswith("kind:"):
+                kind = line[len("kind:"):].strip()
+                if kind not in _KINDS:
+                    raise PresentationError(f"unknown kind {kind!r}")
+            elif line.startswith("rel:"):
+                if alpha is None:
+                    raise PresentationError("relation before letters line")
+                sides = line[len("rel:"):].split("=")
+                if len(sides) != 2:
+                    raise PresentationError("relation needs exactly one '='")
+                if not all(side.split() for side in sides):
+                    raise PresentationError("empty relation side (use 1)")
+                relations.append(Relation(*map(alpha.word, sides)))
+            else:
+                raise PresentationError(f"unrecognized line {line!r}")
+        except PresentationError as exc:
+            raise ParseError(lineno, str(exc)) from None
 
-    if not saw_letters:
+    if alpha is None:
         raise ParseError(1, "missing letters line")
     try:
-        return Presentation(tuple(names), tuple(sorted(letters)),
-                            tuple(relations), kind)
+        return Presentation(alpha.names, alpha.alphabet, tuple(relations),
+                            kind)
     except PresentationError as exc:
         raise ParseError(1, str(exc)) from None
+
+
+def _alphabet(tokens) -> Presentation:
+    """The relation-free presentation of a ``letters:`` line's tokens;
+    Presentation validates the names and rejects duplicate letters."""
+    if not tokens:
+        raise PresentationError("empty letters line")
+    names = []
+    letters = []
+    for token in tokens:
+        base = token[:-1] if token.endswith("'") else token
+        if base not in names:
+            names.append(base)
+        letters.append(Letter(names.index(base), base != token))
+    return Presentation(tuple(names), tuple(sorted(letters)), ())
 
 
 def parse_presentation_file(path) -> Presentation:

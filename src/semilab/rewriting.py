@@ -8,25 +8,23 @@ answer.  A confluent system decides word equality by normal forms; otherwise
 a bounded bidirectional search over raw relation applications can still
 certify equality (with a replayable derivation) or give up with "unknown".
 
-Completion also records where each rule came from: an input relation, a
-critical pair of two rule versions, a rule it killed and requeued, or a
-re-reduced right-hand side.  ``rule_derivation`` expands those records into
-raw relation steps, so a reduction trace becomes a replayable derivation
-without any search.  Such derivations are read off completion's proofs and
-are not necessarily shortest; the search finds shortest ones.
+Completion also keeps a proof of every rule as it makes it, built from the
+reduction traces it computes anyway (see ``_Provenance``).
+``rule_derivation`` expands those proofs into raw relation steps, so a
+reduction trace becomes a replayable derivation without any search.  Such
+derivations are not necessarily shortest; the search finds shortest ones.
 
 Internally words are packed one letter per character into ordinary strings,
 so factor matching and replacement run on the C string machinery; the
 character code of a letter is its shortlex rank, which makes plain string
 comparison agree with the letter order.  One reduction engine, ``_reduce``,
-rewrites such strings: completion reduces with it, the completion record
-replays those reductions with it, and ``reduce_with_trace`` traces with it,
-so all three apply rules in the same sweep order.
+rewrites such strings: completion reduces with it, keeping each trace as
+a proof, and ``reduce_with_trace`` traces with it, so both apply rules in
+the same sweep order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,10 +45,6 @@ DEFAULT_EQ_BUDGET = 100_000
 LEN_SLACK = 4
 
 _ENC_BASE = 33
-
-# completion's rule events and equation origins (see _Provenance)
-_ADD, _RHS, _KILL = "add", "rhs", "kill"
-_REL, _OVERLAP, _RULE = "relation", "overlap", "rule"
 
 
 class RewritingError(ValueError):
@@ -109,8 +103,8 @@ class RewriteSystem:
     completion, ``budget-exhausted`` otherwise (the rules are still sound
     consequences of the relations, just not necessarily complete), and
     ``budget_hit`` then names the limit that stopped completion:
-    ``"max_rules"`` or ``"max_rule_len"``.  ``provenance`` is completion's
-    record of where each rule came from; it backs ``rule_derivation``.
+    ``"max_rules"`` or ``"max_rule_len"``.  ``provenance`` holds the proof
+    completion kept for each rule; it backs ``rule_derivation``.
     Neither takes part in equality.
     """
 
@@ -177,28 +171,31 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     overlap word first on ties) until no unresolved pair remains, or until
     more than ``max_rules`` rules have been added or a rule side would
     exceed ``max_len`` letters; ``budget_hit`` names the one that tripped.
-    The returned system is interreduced either way, and records where each
-    rule came from (see ``rule_derivation``).
+    The returned system is interreduced either way.  Every rule version
+    completion makes gets a proof, kept on ``provenance`` as it is made:
+    the traces of the reductions that produced the rule, around the
+    equation it was oriented from (see ``_Provenance``).
     """
     if max_rules <= 0 or max_len <= 0:
         raise RewritingError("completion budgets must be positive")
     codec = _Codec(p)
 
-    # live rules in index order: index -> (lhs, rhs, stamp of the event
-    # that set rhs), the shape _Provenance._state gives
+    # live rules in index order: index -> (lhs, rhs, proof key of this
+    # version), the triples _reduce takes
     rules = {}
     n_added = 0
     budget_hit = None
     tasks = deque()     # rule-index pairs whose overlaps are unexamined
-    pending = deque()   # (a, b, origin): equations awaiting orientation
-    events = []         # rule history, see _Provenance
+    pending = deque()   # (a, b, parts): equations and the proofs of a = b
+    prov = _Provenance()
 
     def process_pending():
         nonlocal n_added, budget_hit
         while pending:
-            a, b, origin = pending.popleft()
-            oriented = _orient(_reduce(a, rules.values())[0],
-                               _reduce(b, rules.values())[0])
+            a, b, eq = pending.popleft()
+            ra, trace_a = _reduce(a, rules.values())
+            rb, trace_b = _reduce(b, rules.values())
+            oriented = _orient(ra, rb)
             if oriented is None:
                 continue
             l, r = oriented
@@ -208,61 +205,64 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
             if n_added >= max_rules:
                 budget_hit = "max_rules"
                 return False
+            if l != ra:
+                trace_a, trace_b, eq = trace_b, trace_a, _reversed(eq)
             k = n_added
             n_added += 1
             older = list(rules.items())
-            rules[k] = (l, r, len(events))
-            events.append((_ADD, k, l, r, a, b, origin))
-            for i, (li, ri, si) in older:
+            rules[k] = (l, r, prov.add(_reversed(trace_a) + eq + trace_b))
+            for i, (li, ri, vi) in older:
                 if l in li:
                     del rules[i]
-                    pending.append((li, ri, (_RULE, si)))
-                    events.append((_KILL, i))
+                    pending.append((li, ri, [(vi, 0, True)]))
                 elif l in ri:
-                    ri = _reduce(ri, rules.values())[0]
-                    rules[i] = (li, ri, len(events))
-                    events.append((_RHS, i, ri, si))
+                    ri, trace = _reduce(ri, rules.values())
+                    rules[i] = (li, ri, prov.add([(vi, 0, True)] + trace))
             # k is new, so none of its pairs has been queued before
             for j in rules:
                 tasks.extend(((k, j), (j, k)) if j != k else ((k, k),))
         return True
 
     for idx, rel in enumerate(p.relations):
-        pending.append((codec.enc(rel.lhs), codec.enc(rel.rhs), (_REL, idx)))
+        pending.append((codec.enc(rel.lhs), codec.enc(rel.rhs),
+                        [(~idx, 0, True)]))
     ok = process_pending()
 
     while ok and tasks:
         i, j = tasks.popleft()
         if i not in rules or j not in rules:
             continue
-        li, ri, si = rules[i]
-        lj, rj, sj = rules[j]
+        li, ri, vi = rules[i]
+        lj, rj, vj = rules[j]
         # a longer overlap gives a shorter overlap word li + lj[k:]
         for k in reversed(_overlaps(li, lj)):
-            pending.append((ri + lj[k:], li[:-k] + rj, (_OVERLAP, si, sj, k)))
+            pending.append((ri + lj[k:], li[:-k] + rj,
+                            [(vi, 0, False), (vj, len(li) - k, True)]))
         ok = process_pending()
 
-    final = _tidy(rules, events)
+    final = _tidy(rules, prov)
     status = BUDGET_EXHAUSTED if budget_hit else CONFLUENT
-    decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r, _ in final)
-    provenance = _Provenance(events, tuple((stamp, r)
-                                           for _, r, stamp in final))
+    decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r in final)
     return RewriteSystem(p, decoded, status, budget_hit=budget_hit,
-                         provenance=provenance)
+                         provenance=prov)
 
 
-def _tidy(rules, events):
+def _tidy(rules, prov):
     """Final interreduction: drop rules whose lhs contains another live lhs,
-    normalize rhs.  Returns (lhs, rhs, stamp) in shortlex order of the
-    sides."""
+    normalize rhs.  Returns (lhs, rhs) in shortlex order of the sides, and
+    adds their proofs to ``prov`` in that order from key ``prov.final``."""
     for k, (l, _, _) in list(rules.items()):
         if any(lo in l for ko, (lo, _, _) in rules.items() if ko != k):
             del rules[k]
-            events.append((_KILL, k))
-    out = [(l, _reduce(r, rules.values())[0], stamp)
-           for l, r, stamp in rules.values()]
-    out.sort(key=lambda lrs: (_sl_key(lrs[0]), _sl_key(lrs[1])))
-    return out
+    out = []
+    for l, r, v in rules.values():
+        r, trace = _reduce(r, rules.values())
+        out.append((l, r, [(v, 0, True)] + trace))
+    out.sort(key=lambda lrp: (_sl_key(lrp[0]), _sl_key(lrp[1])))
+    prov.final = len(prov.proofs)
+    for _, _, proof in out:
+        prov.add(proof)
+    return [(l, r) for l, r, _ in out]
 
 
 def reduce_with_trace(word: Word, rs: RewriteSystem):
@@ -419,114 +419,41 @@ def _reversed(parts):
 
 
 class _Provenance:
-    """Completion's record of where each rule came from, expanded into raw
-    relation chains on demand.
-
-    ``events`` is kb_complete's rule history; an event's index is its stamp.
-    ("add", k, lhs, rhs, a, b, origin) creates rule k from the equation
-    a = b, whose reduced sides are lhs and rhs; ("rhs", i, rhs, prev)
-    re-reduces the rhs of rule i that event ``prev`` set; ("kill", i) drops
-    rule i.  The rules in force at stamp t are those the events before t
-    leave alive, each with its latest rhs, and every reduction completion
-    made at stamp t used exactly those, so it can be replayed here.  An
-    origin is ("relation", idx), ("overlap", s_i, s_j, k), the overlap of
-    length k of the rule versions set by events s_i and s_j, or ("rule", s),
-    the killed rule version set by event s.  ``final`` holds, per final
-    rule, the stamp of its rule's last version and the final rhs, which the
-    rules in force at the end reduce that version's rhs to.
+    """The proofs completion kept for its rules, expanded into raw relation
+    chains on demand.
 
     A proof is a list of parts (key, offset, forward) applied in turn: key
-    ~idx is input relation idx, key s < len(events) the rule version set by
-    event s, and key len(events) + m final rule m.  Every part of a proof
-    has a smaller key than the proof's own, so proofs are measured and
-    expanded bottom-up, without recursion.
+    ~idx is input relation idx, and key k >= 0 the rule version whose proof
+    is ``proofs[k]``.  A rule version's proof rewrites its lhs into its rhs:
+    the reversed trace that reduced one side of its equation, the equation's
+    own parts, and the trace that reduced the other side; or, for a
+    re-reduced rhs, the old version followed by that reduction's trace.  An
+    equation from input relation idx is [(~idx, 0, True)], the overlap of
+    length k of rule versions v_i and v_j is [(v_i, 0, False), (v_j,
+    len(lhs_i) - k, True)], and a killed rule version v is [(v, 0, True)].
+    Final rule m has key ``final + m``.  Every part of a proof has a smaller
+    key than the proof's own, so ``lengths``, the raw steps in each proof,
+    is filled in as each proof is added, and expansion needs no recursion.
     """
 
-    def __init__(self, events, final):
-        self.events = events
-        self.final = final
-        self._sides = {}    # version or final key -> (lhs, rhs)
-        self._rules = []    # per rule index: [lhs, born, died, versions]
-        for stamp, event in enumerate(events):
-            if event[0] == _ADD:
-                self._rules.append([event[2], stamp, None, [stamp]])
-                self._sides[stamp] = (event[2], event[3])
-            elif event[0] == _RHS:
-                rule = self._rules[event[1]]
-                rule[3].append(stamp)
-                self._sides[stamp] = (rule[0], event[2])
-            else:
-                self._rules[event[1]][2] = stamp
-        end = len(events)
-        for m, (stamp, rhs) in enumerate(final):
-            self._sides[end + m] = (self._sides[stamp][0], rhs)
-        self._proofs = {}
-        self._lengths = {}
+    def __init__(self):
+        self.proofs = []
+        self.lengths = []
+        self.final = None
 
-    def _state(self, t):
-        """The rules in force at stamp t, as (lhs, rhs, version stamp)."""
-        out = []
-        for lhs, born, died, versions in self._rules:
-            if born >= t:
-                break
-            if died is None or died >= t:
-                v = versions[bisect_left(versions, t) - 1]
-                out.append((lhs, self._sides[v][1], v))
-        return out
+    def _steps(self, parts) -> int:
+        return sum(self.lengths[k] if k >= 0 else 1 for k, _, _ in parts)
 
-    def _origin(self, origin):
-        if origin[0] == _REL:
-            return [(~origin[1], 0, True)]
-        if origin[0] == _RULE:
-            return [(origin[1], 0, True)]
-        _, si, sj, k = origin
-        return [(si, 0, False), (sj, len(self._sides[si][0]) - k, True)]
-
-    def _proof(self, key):
-        end = len(self.events)
-        lhs, rhs = self._sides[key]
-        if key >= end:
-            prev, t = self.final[key - end][0], end
-        elif self.events[key][0] == _RHS:
-            prev, t = self.events[key][3], key
-        else:
-            _, _, _, _, a, b, origin = self.events[key]
-            state = self._state(key)
-            ra, trace_a = _reduce(a, state)
-            rb, trace_b = _reduce(b, state)
-            eq = self._origin(origin)
-            if (ra, rb) == (lhs, rhs):
-                return _reversed(trace_a) + eq + trace_b
-            if (rb, ra) == (lhs, rhs):
-                return _reversed(trace_b) + _reversed(eq) + trace_a
-            raise RewritingError("completion record does not replay")
-        got, trace = _reduce(self._sides[prev][1], self._state(t))
-        if got != rhs:
-            raise RewritingError("completion record does not replay")
-        return [(prev, 0, True)] + trace
-
-    def length(self, key) -> int:
-        """Raw steps in the proof of ``key``; builds the proofs it uses."""
-        todo, found = [key], set()
-        while todo:
-            k = todo.pop()
-            if k < 0 or k in self._lengths or k in found:
-                continue
-            found.add(k)
-            if k not in self._proofs:
-                self._proofs[k] = self._proof(k)
-            todo.extend(part[0] for part in self._proofs[k])
-        lengths = self._lengths
-        for k in sorted(found):
-            lengths[k] = sum(lengths[p] if p >= 0 else 1
-                             for p, _, _ in self._proofs[k])
-        return lengths[key]
+    def add(self, parts) -> int:
+        """Keep ``parts`` as the next proof; returns its key."""
+        self.lengths.append(self._steps(parts))
+        self.proofs.append(parts)
+        return len(self.proofs) - 1
 
     def expand(self, parts, max_steps=None):
         """The raw steps (relation, pos, forward) of ``parts`` applied in
         turn, or None when there are more than ``max_steps``."""
-        total = sum(self.length(k) for k, _, _ in parts)
-        if max_steps is not None and total > max_steps:
+        if max_steps is not None and self._steps(parts) > max_steps:
             return None
         out = []
         stack = list(reversed(parts))
@@ -535,7 +462,7 @@ class _Provenance:
             if k < 0:
                 out.append(DerivationStep(~k, off, fwd))
                 continue
-            proof = self._proofs[k]
+            proof = self.proofs[k]
             stack.extend((p, off + o, f == fwd)
                          for p, o, f in (reversed(proof) if fwd else proof))
         return tuple(out)
@@ -549,14 +476,13 @@ def _provenance(rs: RewriteSystem) -> _Provenance:
 
 def rule_derivation(rs: RewriteSystem, idx: int, max_steps=None):
     """Raw relation steps that rewrite ``rs.rules[idx].lhs`` into its rhs,
-    over ``rs.source.relations``, read off the completion record rather
-    than searched for; the chain is not necessarily shortest.  Returns None
-    when it has more than ``max_steps`` steps.  Proofs of the rules a chain
-    uses are built on first use and kept on ``rs``."""
+    over ``rs.source.relations``, expanded from the proofs completion kept
+    rather than searched for; the chain is not necessarily shortest.
+    Returns None when it has more than ``max_steps`` steps."""
     prov = _provenance(rs)
     if not 0 <= idx < len(rs.rules):
         raise RewritingError(f"no rule {idx}")
-    return prov.expand([(len(prov.events) + idx, 0, True)], max_steps)
+    return prov.expand([(prov.final + idx, 0, True)], max_steps)
 
 
 def traces_derivation(rs: RewriteSystem, trace_u, trace_v, max_steps=None):
@@ -566,7 +492,7 @@ def traces_derivation(rs: RewriteSystem, trace_u, trace_v, max_steps=None):
     ``rule_derivation``, not necessarily shortest, and None when longer
     than ``max_steps``."""
     prov = _provenance(rs)
-    end = len(prov.events)
+    end = prov.final
     parts = [(end + step.rule, step.pos, True) for step in trace_u]
     parts += _reversed([(end + step.rule, step.pos, True)
                         for step in trace_v])

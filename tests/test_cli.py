@@ -212,7 +212,11 @@ def test_reports_byte_identical(quad, z3, tmp_path):
 
 # sha256 of the stdout report; "@" names a file under inputs/, and
 # "@rank1-1-5" the table of rank1_universe(1, 5)
-GOLDEN_TABLE_REPORTS = {
+GOLDEN_REPORTS = {
+    ("probe", "@quadruple.pres", "--max-len", "3"):
+        "1febef77f160720a43df3daa947d5d7c6e02a1109f8cdfe2f312cad4abfce188",
+    ("probe", "@quadruple.pres", "--max-len", "4"):
+        "268dafeb8535f96d07ff96cddc99d1af3df6856a129c881ac5b8c4ab67167bc8",
     ("laws", "@z3.json"):
         "915479097bbdef2531f317db014da41b8b65757827a6efaa8ce03a6d72c21541",
     ("laws", "@left-zero-2.json"):
@@ -228,12 +232,12 @@ GOLDEN_TABLE_REPORTS = {
 }
 
 
-def test_table_reports_match_golden_digests(tmp_path, capsys):
+def test_reports_match_golden_digests(tmp_path, capsys):
     r15 = tmp_path / "rank1-1-5.json"
     r15.write_text(json.dumps(rank1_universe(1, 5).table.to_json()))
-    paths = {f"@{f.name}": str(f) for f in INPUTS.glob("*.json")}
+    paths = {f"@{f.name}": str(f) for f in INPUTS.iterdir()}
     paths["@rank1-1-5"] = str(r15)
-    for argv, digest in GOLDEN_TABLE_REPORTS.items():
+    for argv, digest in GOLDEN_REPORTS.items():
         assert main([paths.get(a, a) for a in argv]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
