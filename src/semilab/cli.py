@@ -10,7 +10,9 @@ Verbs:
   enumerate  all associative tables of a given order
 
 Every verb emits one deterministic JSON report: to stdout, or to --out with
-a short summary on stdout instead.  Exit codes: 0 the analysis completed
+a short summary on stdout instead.  The report bytes are exactly those of
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline; ``_encode``
+writes them with the joins done in C.  Exit codes: 0 the analysis completed
 (finding a collision or a law failure is a completed analysis), 2 bad input
 or parameters, 3 a search budget ran out before the answer was settled (a
 partial report is still written).
@@ -21,6 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 
 from .embedding import ProbeError, check_malcev_condition, probe_embedding
 from .fields import FieldError
@@ -64,15 +69,102 @@ def _load_presentation(path: str):
         raise _InputError(f"{path}: {exc}") from None
 
 
+# exact type -> encoder for the scalars json writes without a fallback;
+# bool is its own type, so an int path never prints a bool as a number
+_SCALARS = {str: _encode_str, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+# a list is joined this many items at a time, so a long one never has all
+# its item strings alive next to the joined text
+_SLICE = 4096
+
+
+def _encode(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with
+    ``indent`` the indentation of the line ``obj`` starts on.  With indent
+    set the json module runs its pure-Python encoder; here lists of scalars,
+    of equal-length int rows and of same-key records are joined in C, and
+    json.dumps is called only for what has no exact-type path (floats, int
+    keys, subclasses)."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        sep = ",\n" + inner
+        return _block([sep.join(_encode_each(obj[i:i + _SLICE], inner))
+                       for i in range(0, len(obj), _SLICE)], indent, "[]")
+    if kind is dict and set(map(type, obj)) == {str}:
+        keys = sorted(obj)
+        return _block([_encode(obj[k], inner) for k in keys], indent, "{}",
+                      keys)
+    # json.dumps escapes newlines inside strings, so every raw newline
+    # starts a line that needs the outer indentation
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + indent)
+
+
+def _block(items, indent: str, brackets: str, keys=None) -> str:
+    """A nonempty JSON array, or object with ``keys``, whose encoded
+    ``items`` go one per line, indented one step past ``indent``.  It is
+    one join over all the parts, so no item's text is copied twice."""
+    inner = indent + "  "
+    heads = [",\n" + inner] * len(items)
+    heads[0] = brackets[0] + "\n" + inner
+    if keys is not None:
+        heads = [h + _encode_str(k) + ": " for h, k in zip(heads, keys)]
+    parts = heads * 2
+    parts[0::2] = heads
+    parts[1::2] = items
+    parts.append("\n" + indent + brackets[1])
+    return "".join(parts)
+
+
+def _encode_each(values, indent: str):
+    """The encodings of ``values``, each starting on a line indented by
+    ``indent``: one C-side map when they share a fast path."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind in _SCALARS:
+            return map(_SCALARS[kind], values)
+        if kind is list or kind is tuple:
+            # equal-length int rows: one %d template for the whole list
+            widths = set(map(len, values))
+            if (len(widths) == 1
+                    and set(map(type, chain.from_iterable(values))) == {int}):
+                row = _block(["%d"] * widths.pop(), indent, "[]")
+                return map(row.__mod__, map(tuple, values))
+        elif kind is dict:
+            # records with the same str keys: one %s template, filled
+            # column by column
+            keysets = set(map(frozenset, values))
+            keys = keysets.pop() if len(keysets) == 1 else None
+            if keys and set(map(type, keys)) == {str}:
+                keys = sorted(keys)
+                record = _block(["%s"] * len(keys), indent, "{}",
+                                [k.replace("%", "%%") for k in keys])
+                inner = indent + "  "
+                columns = [_encode_each(list(map(itemgetter(k), values)),
+                                        inner) for k in keys]
+                return map(record.__mod__, zip(*columns))
+    return [_encode(v, indent) for v in values]
+
+
 def _emit(report: dict, summary, out_path):
-    body = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    body = _encode(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(body)
+            fh.write("\n")
         for line in summary:
             print(line)
     else:
         sys.stdout.write(body)
+        sys.stdout.write("\n")
 
 
 def _load_semigroup(path: str) -> CayleyTable:

@@ -15,14 +15,19 @@ to finite fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 from .fields import dot, is_zero_vector, scale, vector, GF
-from .finite import CayleyTable, table_from_product
+from .finite import CayleyTable
 
 
 class MatrixError(ValueError):
     pass
+
+
+# rank1_universe refuses tables with more cells than this before it builds
+# any element: 2048 elements a side, about 32 MiB of row tuples
+MAX_TABLE_CELLS = 2048 * 2048
 
 
 @dataclass(frozen=True)
@@ -247,23 +252,49 @@ def canonical_directions(field, n: int):
 
 def rank1_universe(n: int, p: int, cap: int = 512) -> Rank1Universe:
     """Enumerate the whole rank <= 1 semigroup over GF(p), tabulate it, and
-    locate its idempotents and maximal subgroups."""
+    locate its idempotents and maximal subgroups.
+
+    The table is built from indices, not by ``multiply``.  Element
+    1 + i * R + j is (dirs[i], nonzero_rows[j]), with R nonzero rows, and
+    the product of (c1, r1) and (c2, r2) is zero or (c1, lam * r2) with
+    lam = r1 . c2, so each table row is a concatenation of precomputed
+    index runs, one per direction c2."""
     if n < 1:
         raise MatrixError("dimension must be at least 1")
     field = GF(p)
-    dirs = canonical_directions(field, n)
-    nonzero_rows = [v for v in iproduct(field.elements(), repeat=n)
-                    if not is_zero_vector(field, v)]
-    count = len(dirs) * len(nonzero_rows)
+    count = (p ** n - 1) // (p - 1) * (p ** n - 1)
     if count > cap:
         raise MatrixError(
             f"{count} nonzero rank-1 matrices over GF({p})^{{{n}x{n}}} "
             f"exceeds the cap of {cap}")
+    if (count + 1) ** 2 > MAX_TABLE_CELLS:
+        raise MatrixError(
+            f"the table of {count + 1} rank <= 1 matrices over "
+            f"GF({p})^{{{n}x{n}}} needs {(count + 1) ** 2} cells, over the "
+            f"bound of {MAX_TABLE_CELLS}")
+    dirs = canonical_directions(field, n)
+    nonzero_rows = [v for v in iproduct(field.elements(), repeat=n)
+                    if not is_zero_vector(field, v)]
     elements = [zero_matrix(field, n)]
     for c in dirs:
         for r in nonzero_rows:
             elements.append(Rank1Matrix(field, n, c, r))
-    table = table_from_product(elements, multiply)
+    # scaled[lam - 1][j] = index of lam * nonzero_rows[j], and
+    # lams[j][k] = nonzero_rows[j] . dirs[k], the scalar of a product's row
+    row_index = {r: j for j, r in enumerate(nonzero_rows)}
+    scaled = [[row_index[scale(field, lam, r)] for r in nonzero_rows]
+              for lam in field.nonzero()]
+    lams = [[dot(field, r, c) for c in dirs] for r in nonzero_rows]
+    width = len(nonzero_rows)
+    rows = [(0,) * len(elements)]
+    for i in range(len(dirs)):
+        # runs[lam]: the products (dirs[i], r1)(c2, r2) over all r2 when
+        # r1 . c2 = lam, the zero run when lam = 0
+        base = 1 + i * width
+        runs = [(0,) * width] + [tuple(base + j for j in s) for s in scaled]
+        rows.extend(tuple(chain((0,), *map(runs.__getitem__, lam_row)))
+                    for lam_row in lams)
+    table = CayleyTable(tuple(rows))
     idempotents = tuple(k for k in range(len(elements))
                         if table.rows[k][k] == k)
     groups = []

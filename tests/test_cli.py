@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,16 @@ def test_bad_params_exit2(capsys):
     capsys.readouterr()
 
 
+def test_rank1_cell_bound_exit2(capsys):
+    # 19,495 elements fit the raised cap but not the table's cell bound,
+    # which is checked before any element is built
+    start = time.perf_counter()
+    assert main(["rank1", "--n", "3", "--p", "7", "--cap", "100000"]) \
+        == EXIT_INPUT
+    assert time.perf_counter() - start < 0.5
+    assert "cells" in capsys.readouterr().err
+
+
 def test_probe_rejects_extension_input(tmp_path, capsys):
     path = tmp_path / "ext.pres"
     path.write_text("letters: a a'\nkind: group-completion\n"
@@ -211,7 +222,7 @@ def test_reports_byte_identical(quad, z3, tmp_path):
 
 
 # sha256 of the stdout report; "@" names a file under inputs/, and
-# "@rank1-1-5" the table of rank1_universe(1, 5)
+# "@rank1-N-P" the table of rank1_universe(N, P)
 GOLDEN_REPORTS = {
     ("probe", "@quadruple.pres", "--max-len", "3"):
         "1febef77f160720a43df3daa947d5d7c6e02a1109f8cdfe2f312cad4abfce188",
@@ -229,18 +240,41 @@ GOLDEN_REPORTS = {
         "9ea0da839490df154e5ce9e4677f9b4ed4867cdf8b2b07c230a2cc9dfd0b786b",
     ("rank1", "--n", "2", "--p", "3"):
         "e84c1bf7dc7c9639a8639ca5eeb3bdb36bbb75395bcdcec403acbb25a4d3dc18",
+    # the heavy reports: large int-row tables, records and a 23 MB list
+    ("rank1", "--n", "3", "--p", "3"):
+        "859f18517aca31837d05f51d297468c3d574ee30edfffcc8891a6be03b6efaba",
+    ("enumerate", "--order", "4", "--tables"):
+        "d1ad72b8a6e924843237d922c25fe3d101a1a395e45dc87ceefa368755378df2",
+    ("kb", "@quadruple.pres"):
+        "c64bfcac65cd7c01933a23da6c1220c69770687b8fb5789e712f75c1a51ff876",
+    ("build-gm", "@quadruple.pres"):
+        "ceb4db4ba4ab3c3d4e61051a108e252bf26b7a263deb2fbc855ecfddd60b5201",
+    ("malcev", "@rank1-1-11"):
+        "7fe93bd28b8f1c81ee24e9d66d3431b498f5f0f4dc7b70e1e2e10e96db265d8d",
 }
 
 
 def test_reports_match_golden_digests(tmp_path, capsys):
-    r15 = tmp_path / "rank1-1-5.json"
-    r15.write_text(json.dumps(rank1_universe(1, 5).table.to_json()))
     paths = {f"@{f.name}": str(f) for f in INPUTS.iterdir()}
-    paths["@rank1-1-5"] = str(r15)
+    for n, p in ((1, 5), (1, 11)):
+        path = tmp_path / f"rank1-{n}-{p}.json"
+        path.write_text(json.dumps(rank1_universe(n, p).table.to_json()))
+        paths[f"@rank1-{n}-{p}"] = str(path)
     for argv, digest in GOLDEN_REPORTS.items():
         assert main([paths.get(a, a) for a in argv]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_out_writes_stdout_bytes(quad, z3, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for argv in (["probe", quad, "--max-len", "3"], ["laws", z3],
+                 ["rank1", "--n", "2", "--p", "3"]):
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert out.read_bytes() == stdout.encode()
 
 
 def test_console_entry_point(quad):

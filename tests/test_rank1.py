@@ -5,10 +5,11 @@ from itertools import product
 import pytest
 
 from semilab.fields import GF, QQ, FieldError, dot, scale, vector
-from semilab.finite import is_associative
-from semilab.rank1 import (GabGroup, MatrixError, Rank1Matrix, from_dense,
-                           gab_group, idempotent, make_rank1, multiply,
-                           pairing, rank1_universe, to_dense, zero_matrix)
+from semilab.finite import is_associative, table_from_product
+from semilab.rank1 import (MAX_TABLE_CELLS, GabGroup, MatrixError,
+                           Rank1Matrix, from_dense, gab_group, idempotent,
+                           make_rank1, multiply, pairing, rank1_universe,
+                           to_dense, zero_matrix)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -270,6 +271,22 @@ def test_universe_cap():
         rank1_universe(3, 5)
     with pytest.raises(MatrixError):
         rank1_universe(2, 31)
+
+
+def test_universe_cell_bound():
+    # 19,494 nonzero matrices fit a raised cap, but their table would need
+    # 19,495^2 cells; the bound is checked before any element is built
+    assert MAX_TABLE_CELLS >= 2048 ** 2
+    with pytest.raises(MatrixError, match="cells"):
+        rank1_universe(3, 7, cap=100_000)
+
+
+@pytest.mark.parametrize("n,p", [(1, 5), (1, 11), (2, 2), (2, 3), (2, 5),
+                                 (3, 2), (3, 3)])
+def test_universe_table_matches_multiply(n, p):
+    # the table is built by index arithmetic; multiply is the reference
+    u = rank1_universe(n, p)
+    assert u.table == table_from_product(u.elements, multiply)
 
 
 def test_universe_json_shape():
