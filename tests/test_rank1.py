@@ -271,11 +271,8 @@ def test_universe_cap():
         rank1_universe(3, 5)
     with pytest.raises(MatrixError):
         rank1_universe(2, 31)
-
-
-def test_universe_cell_bound():
     # 19,494 nonzero matrices fit a raised cap, but their table would need
-    # 19,495^2 cells; the bound is checked before any element is built
+    # 19,495^2 cells
     assert MAX_TABLE_CELLS >= 2048 ** 2
     with pytest.raises(MatrixError, match="cells"):
         rank1_universe(3, 7, cap=100_000)
