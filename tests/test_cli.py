@@ -228,6 +228,11 @@ GOLDEN_REPORTS = {
         "1febef77f160720a43df3daa947d5d7c6e02a1109f8cdfe2f312cad4abfce188",
     ("probe", "@quadruple.pres", "--max-len", "4"):
         "268dafeb8535f96d07ff96cddc99d1af3df6856a129c881ac5b8c4ab67167bc8",
+    # no collision: the benchmark's probe-embed reports, counts included
+    ("probe", "@trace-abcd.pres", "--max-len", "8"):
+        "ffa150315af4276e70660cb292c0a580b92a1dd9e1c8f989ed3345a653001ba0",
+    ("probe", "@free-abc.pres", "--max-len", "8"):
+        "77cd6e125a75fcf5afc7ddc9133ad9cc84284f6f2807111422b47c6f8161b07f",
     ("laws", "@z3.json"):
         "915479097bbdef2531f317db014da41b8b65757827a6efaa8ce03a6d72c21541",
     ("laws", "@left-zero-2.json"):
