@@ -1,11 +1,14 @@
 """Group-embeddability probing for presented cancellative monoids.
 
 A monoid M embeds in its two-sided group of fractions only if distinct
-elements of M stay distinct there.  The probe materializes both sides: it
-completes M to get normal forms, enumerates every element up to a length
-bound, builds the group extension G(M), and asks which pairs of distinct
+elements of M stay distinct there.  The probe completes M to get normal
+forms, builds the group extension G(M) and completes it too, enumerates
+every element of M up to a length bound, and asks which pairs of distinct
 M-elements become equal in G(M).  A pair that collapses is a witness that no
 embedding exists; the probe reports it together with replayable evidence.
+When G(M) completes, the whole comparison runs on packed strings (see
+rewriting): M's normal forms are enumerated packed, bucketed by their G(M)
+normal form, and only the members of colliding buckets are decoded.
 
 check_malcev_condition runs the classical quadruple test on a finite table:
   x a = y b,  x c = y d,  u a = v b   must force   u c = v d
@@ -16,15 +19,18 @@ building G(M).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
+# reduce is not called here any more; it stays bound because bench/spans.py
+# traces the probe's rewriting calls by the names this module binds
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, EQUAL, DerivationCertificate,
-                        NormalFormCertificate, derivation_certificate,
-                        derive_equal, enumerate_elements, kb_complete,
-                        reduce, reduce_with_trace, traces_derivation)
+                        NormalFormCertificate, _irreducible_strings, _reduce,
+                        derivation_certificate, derive_equal,
+                        enumerate_elements, kb_complete, reduce,  # noqa: F401
+                        reduce_with_trace, traces_derivation)
 
 # inconclusive pairs a report keeps; it counts them all
 MAX_INCONCLUSIVE_KEPT = 20
@@ -104,12 +110,13 @@ def probe_embedding(p: Presentation, max_len: int,
 
     Needs a confluent completion of M itself (otherwise there is no element
     list to compare) and raises ProbeError when the rule budget cannot
-    deliver one.  When the extension G(M) completes, elements are bucketed
-    by their G(M) normal form and each colliding pair's derivation is built
-    from the completion record, capped at ``budget`` steps.  Otherwise the
-    probe falls back to a bounded relation-chain search per pair, in order,
-    until one finds a collision or the searches have visited ``budget``
-    words in all; each search gets what the ones before it left.  The pairs
+    deliver one.  When the extension G(M) completes, elements are bucketed,
+    as packed strings, by their G(M) normal form, and each colliding pair's
+    derivation is built from the completion record, capped at ``budget``
+    steps.  Otherwise the probe decodes the element list and falls back to
+    a bounded relation-chain search per pair, in order, until one finds a
+    collision or the searches have visited ``budget`` words in all; each
+    search gets what the ones before it left.  The pairs
     not settled, searched or not reached, are inconclusive: the report
     counts them and keeps the first MAX_INCONCLUSIVE_KEPT.
     """
@@ -125,7 +132,6 @@ def probe_embedding(p: Presentation, max_len: int,
             "elements cannot be enumerated",
             stage="base-completion",
             details={"rules": len(rs_m.rules), "status": rs_m.status})
-    elements = enumerate_elements(rs_m, max_len)
     gm = build_gm(p)
     rs_g = kb_complete(gm, max_rules=max_rules, max_len=max_rule_len)
     spent = {
@@ -138,23 +144,32 @@ def probe_embedding(p: Presentation, max_len: int,
         "certificate_steps": 0,
         "derivations_over_budget": 0,
     }
-    n = len(elements)
     witnesses = []
+    inconclusive = ()
     inconclusive_count = 0
     if rs_g.status == CONFLUENT:
+        # M's packed words are G(M)'s too (see rewriting); only members of
+        # colliding buckets are decoded
+        strings = list(_irreducible_strings(rs_m, max_len))
+        n = len(strings)
+        g_rules = rs_g._enc_rules
         buckets: dict = {}
-        for i, w in enumerate(elements):
-            buckets.setdefault(reduce(w, rs_g), []).append(i)
+        for i, s in enumerate(strings):
+            buckets.setdefault(_reduce(s, g_rules)[0], []).append(i)
         spent["buckets"] = len(buckets)
-        pairs = sorted((i, j)
-                       for members in buckets.values() if len(members) > 1
+        colliding = [members for members in buckets.values()
+                     if len(members) > 1]
+        traced = {}
+        for i in chain.from_iterable(colliding):
+            u = rs_m._codec.dec(strings[i])
+            traced[i] = (u,) + reduce_with_trace(u, rs_g)
+        pairs = sorted((i, j) for members in colliding
                        for k, i in enumerate(members)
                        for j in members[k + 1:])
         spent["pairs_checked"] = len(pairs)
         for i, j in pairs:
-            u, v = elements[i], elements[j]
-            nf_u, trace_u = reduce_with_trace(u, rs_g)
-            nf_v, trace_v = reduce_with_trace(v, rs_g)
+            u, nf_u, trace_u = traced[i]
+            v, nf_v, trace_v = traced[j]
             steps = traces_derivation(rs_g, trace_u, trace_v,
                                       max_steps=budget)
             if steps is None:
@@ -165,9 +180,11 @@ def probe_embedding(p: Presentation, max_len: int,
                 derivation = derivation_certificate(gm, u, steps)
             witnesses.append(CollisionWitness(
                 u, v, nf_u,
-                NormalFormCertificate(nf_u, nf_v, tuple(trace_u), tuple(trace_v)),
+                NormalFormCertificate(nf_u, nf_v, trace_u, trace_v),
                 derivation))
     else:
+        elements = enumerate_elements(rs_m, max_len)
+        n = len(elements)
         for u, v in combinations(elements, 2):
             left = budget - spent["words_visited"]
             if left < 2:    # a search visits its two end words first
@@ -184,8 +201,8 @@ def probe_embedding(p: Presentation, max_len: int,
         # stay unsettled, and with no collision every pair does
         inconclusive_count = spent["pairs_checked"] - 1 if witnesses \
             else n * (n - 1) // 2
-    kept = min(inconclusive_count, MAX_INCONCLUSIVE_KEPT)
-    inconclusive = tuple(islice(combinations(elements, 2), kept))
+        kept = min(inconclusive_count, MAX_INCONCLUSIVE_KEPT)
+        inconclusive = tuple(islice(combinations(elements, 2), kept))
     if witnesses:
         status = "collision"
     elif inconclusive_count:
@@ -227,7 +244,7 @@ class MalcevReport:
         return {
             "systems_checked": self.systems_checked,
             "holds": self.holds,
-            "violations": [list(t) for t in self.violations],
+            "violations": list(self.violations),
         }
 
 

@@ -20,7 +20,11 @@ character code of a letter is its shortlex rank, which makes plain string
 comparison agree with the letter order.  One reduction engine, ``_reduce``,
 rewrites such strings: completion reduces with it, keeping each trace as
 a proof, and ``reduce_with_trace`` traces with it, so both apply rules in
-the same sweep order.
+the same sweep order.  One enumeration, ``_irreducible_strings``, lists a
+confluent system's normal forms as such strings; ``enumerate_elements``
+decodes it, and the embedding probe buckets its strings with ``_reduce``
+directly.  A letter's code depends only on its id and bar, and
+``build_gm`` keeps M's letter ids, so M's strings are G(M)'s strings too.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .presentations import EMPTY, Letter, Presentation, Word
+from .presentations import Letter, Presentation, Word
 
 CONFLUENT = "confluent"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -315,28 +319,39 @@ def verify_confluence(rs: RewriteSystem):
     return bad
 
 
-def enumerate_elements(rs: RewriteSystem, max_len: int):
-    """All irreducible words of length <= max_len, in shortlex order; each is
-    the canonical representative of a distinct element.  Requires a confluent
-    system."""
+def _irreducible_strings(rs: RewriteSystem, max_len: int):
+    """The irreducible words of length <= max_len as packed strings, in
+    shortlex order, built level by level.  A word w + ch with w irreducible
+    is irreducible unless a lhs is a suffix of it, so each candidate costs
+    one set lookup per distinct lhs length.  Requires a confluent system,
+    whose irreducible words are exactly its normal forms."""
     if rs.status != CONFLUENT:
         raise RewritingError("element enumeration requires a confluent system")
-    lhss = tuple(l for l, _, _ in rs._enc_rules)
+    lhss = frozenset(l for l, _, _ in rs._enc_rules)
+    lens = sorted({len(l) for l in lhss})
     chars = sorted(rs._codec.enc(rs.source.alphabet))
-    dec = rs._codec.dec
-    out = [EMPTY]
     level = [""]
+    yield ""
     for _ in range(max_len):
         nxt = []
         for w in level:
             for ch in chars:
                 t = w + ch
-                if any(t.endswith(l) for l in lhss):
-                    continue
-                nxt.append(t)
-        out.extend(dec(t) for t in nxt)
+                for k in lens:
+                    if t[-k:] in lhss:
+                        break
+                else:
+                    nxt.append(t)
+        yield from nxt
         level = nxt
-    return out
+
+
+def enumerate_elements(rs: RewriteSystem, max_len: int):
+    """All irreducible words of length <= max_len, in shortlex order; each is
+    the canonical representative of a distinct element.  Requires a confluent
+    system.  This is ``_irreducible_strings`` decoded, the enumeration the
+    probe runs on packed strings."""
+    return list(map(rs._codec.dec, _irreducible_strings(rs, max_len)))
 
 
 # -- word equality --------------------------------------------------------

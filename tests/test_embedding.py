@@ -7,8 +7,8 @@ from semilab.embedding import (CollisionWitness, MalcevReport, ProbeError,
                                quadruple_presentation)
 from semilab.finite import CayleyTable, TableError, enumerate_semigroups
 from semilab.presentations import build_gm, parse_presentation_text
-from semilab.rewriting import (CONFLUENT, kb_complete, reduce,
-                               replay_derivation)
+from semilab.rewriting import (CONFLUENT, enumerate_elements, kb_complete,
+                               reduce, replay_derivation)
 
 
 def pres(text):
@@ -18,6 +18,7 @@ def pres(text):
 FREE2 = pres("letters: a b")
 COMM2 = pres("letters: a b\nrel: b a = a b")
 QUAD = quadruple_presentation()
+TRACE = pres("letters: a b c d\nrel: b a = a b\nrel: d c = c d")
 
 
 # -- probe: positive cases --------------------------------------------------
@@ -105,6 +106,40 @@ def test_probe_report_json_shape():
     assert j["witnesses"][0]["v"] == "v d"
     assert j["witnesses"][0]["derivation_steps"] >= 1
     assert j["inconclusive_count"] == 0
+
+
+# -- probe: the packed pipeline against words -------------------------------
+
+def test_gm_codec_keeps_m_letters():
+    # the probe buckets M's packed words with G(M)'s rules unconverted
+    for p in (QUAD, TRACE, COMM2):
+        m_codec = kb_complete(p)._codec
+        g_codec = kb_complete(build_gm(p))._codec
+        for letter in p.alphabet:
+            assert m_codec.enc((letter,)) == g_codec.enc((letter,))
+
+
+def word_level_probe(p, max_len):
+    """The probe's confluent path on Letter tuples: element count, bucket
+    count and the colliding pairs, minimal first."""
+    rs_g = kb_complete(build_gm(p))
+    elements = enumerate_elements(kb_complete(p), max_len)
+    buckets = {}
+    for i, w in enumerate(elements):
+        buckets.setdefault(reduce(w, rs_g), []).append(i)
+    pairs = sorted((i, j) for members in buckets.values()
+                   for k, i in enumerate(members) for j in members[k + 1:])
+    return (len(elements), len(buckets),
+            [(elements[i], elements[j]) for i, j in pairs])
+
+
+def test_probe_matches_word_level_reference():
+    for p, max_len in ((QUAD, 3), (QUAD, 4), (TRACE, 6), (COMM2, 5)):
+        rep = probe_embedding(p, max_len)
+        n, buckets, pairs = word_level_probe(p, max_len)
+        assert rep.element_count == n
+        assert rep.budget_spent["buckets"] == buckets
+        assert [(w.u, w.v) for w in rep.witnesses] == pairs
 
 
 # -- probe: errors and budgets ------------------------------------------------

@@ -29,6 +29,9 @@ QUAD = pres("letters: x y a b c d u v\nrel: x a = y b\nrel: x c = y d\n"
             "rel: u a = v b")
 Z2 = pres("letters: a\nrel: a a = 1")
 B3 = pres("letters: a b\nrel: a b a = b a b")
+TRACE = pres("letters: a b c d\nrel: b a = a b\nrel: d c = c d")
+# Z3 x N: rules b a -> a b and a a a -> 1, two lhs lengths
+Z3N = pres("letters: a b\nrel: a a a = 1\nrel: b a = a b")
 
 CORPUS = [FREE2, IDEM, FREEGRP1, FREEGRP2, COMM, QUAD, build_gm(QUAD),
           build_gm(COMM), Z2]
@@ -235,10 +238,14 @@ def test_enumerate_free_group_len2():
 
 
 def test_enumerate_matches_brute_force_and_order():
-    for p in CORPUS:
+    # the packed enumeration, decoded, against every word with no lhs
+    # factor; Z3N's lhs a a a makes the suffix test look up two lengths
+    cases = [(p, 3) for p in CORPUS] + [(QUAD, 4), (TRACE, 6), (COMM, 8),
+                                        (Z3N, 8), (FREEGRP2, 5)]
+    for p, max_len in cases:
         rs = kb_complete(p)
-        words = enumerate_elements(rs, 3)
-        assert words == brute_irreducibles(p, rs, 3)
+        words = enumerate_elements(rs, max_len)
+        assert words == brute_irreducibles(p, rs, max_len)
         for u, v in zip(words, words[1:]):
             assert shortlex_less(u, v)
 
