@@ -23,8 +23,8 @@ from itertools import chain, combinations, islice
 
 from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
-# reduce is not called here any more; it stays bound because bench/spans.py
-# traces the probe's rewriting calls by the names this module binds
+# reduce is unused here but stays bound: bench/spans.py traces the probe's
+# rewriting calls by the names this module binds
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, EQUAL, DerivationCertificate,
                         NormalFormCertificate, _irreducible_strings, _reduce,
