@@ -6,9 +6,10 @@ forms, builds the group extension G(M) and completes it too, enumerates
 every element of M up to a length bound, and asks which pairs of distinct
 M-elements become equal in G(M).  A pair that collapses is a witness that no
 embedding exists; the probe reports it together with replayable evidence.
-When G(M) completes, the whole comparison runs on packed strings (see
-rewriting): M's normal forms are enumerated packed, bucketed by their G(M)
-normal form, and only the members of colliding buckets are decoded.
+The comparison runs on packed strings (see rewriting): M's normal forms are
+enumerated packed and bucketed by their irreducible form under G(M)'s rules,
+whether or not its completion finished, and only the members of colliding
+buckets are decoded.
 
 check_malcev_condition runs the classical quadruple test on a finite table:
   x a = y b,  x c = y d,  u a = v b   must force   u c = v d
@@ -23,8 +24,8 @@ from itertools import chain, combinations, islice
 
 from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
-# reduce is unused here but stays bound: bench/spans.py traces the probe's
-# rewriting calls by the names this module binds
+# reduce and enumerate_elements are unused here but stay bound:
+# bench/spans.py traces the probe's rewriting calls by this module's names
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, EQUAL, DerivationCertificate,
                         NormalFormCertificate, _irreducible_strings, _reduce,
@@ -47,13 +48,14 @@ class ProbeError(ValueError):
 class CollisionWitness:
     """Distinct normal forms u, v of M that name the same element of G(M).
 
-    g_certificate holds the two reduction traces to the shared G(M) normal
-    form when the extension's rewriting system is confluent; derivation, when
-    present, is a replayable chain of raw relation applications from u to v.
-    On the confluent path that chain is the two traces with each rule
-    expanded from its completion proof (see rewriting.traces_derivation),
-    so it is not necessarily shortest; derivation is None when it would exceed
-    the probe's budget.
+    g_normal_form is the irreducible form u and v share under G(M)'s rules,
+    its normal form only when G(M) is confluent, and g_certificate holds the
+    two reduction traces to it; both are None for a pair found by search.
+    derivation, when present, is a replayable chain of raw relation
+    applications from u to v: the two traces with each rule expanded from
+    its completion proof (see rewriting.traces_derivation), so not
+    necessarily shortest, or the chain the search found.  It is None when
+    it would exceed the probe's budget.
     """
 
     u: Word
@@ -110,14 +112,14 @@ def probe_embedding(p: Presentation, max_len: int,
 
     Needs a confluent completion of M itself (otherwise there is no element
     list to compare) and raises ProbeError when the rule budget cannot
-    deliver one.  When the extension G(M) completes, elements are bucketed,
-    as packed strings, by their G(M) normal form, and each colliding pair's
-    derivation is built from the completion record, capped at ``budget``
-    steps.  Otherwise the probe decodes the element list and falls back to
-    a bounded relation-chain search per pair, in order, until one finds a
-    collision or the searches have visited ``budget`` words in all; each
-    search gets what the ones before it left.  The pairs
-    not settled, searched or not reached, are inconclusive: the report
+    deliver one.  Elements are bucketed, as packed strings, by their
+    irreducible form under G(M)'s rules, complete or not, and each colliding
+    pair's derivation is built from the completion record, capped at
+    ``budget`` steps.  Only when G(M) did not complete and no bucket
+    collided does the probe search, pair by pair in order, for a relation
+    chain, until one finds a collision or the searches have visited
+    ``budget`` words in all; each search gets what the ones before it left.
+    With no collision found, all n(n-1)/2 pairs are inconclusive: the report
     counts them and keeps the first MAX_INCONCLUSIVE_KEPT.
     """
     if p.kind != PLAIN:
@@ -144,47 +146,44 @@ def probe_embedding(p: Presentation, max_len: int,
         "certificate_steps": 0,
         "derivations_over_budget": 0,
     }
+    # M's packed words are G(M)'s too (see rewriting); only members of
+    # colliding buckets are decoded
+    strings = list(_irreducible_strings(rs_m, max_len))
+    n = len(strings)
+    g_rules = rs_g._enc_rules
+    buckets: dict = {}
+    for i, s in enumerate(strings):
+        buckets.setdefault(_reduce(s, g_rules)[0], []).append(i)
+    spent["buckets"] = len(buckets)
+    colliding = [members for members in buckets.values() if len(members) > 1]
+    traced = {}
+    for i in chain.from_iterable(colliding):
+        u = rs_m._codec.dec(strings[i])
+        traced[i] = (u,) + reduce_with_trace(u, rs_g)
+    pairs = sorted((i, j) for members in colliding
+                   for k, i in enumerate(members) for j in members[k + 1:])
+    spent["pairs_checked"] = len(pairs)
     witnesses = []
+    for i, j in pairs:
+        u, nf_u, trace_u = traced[i]
+        v, nf_v, trace_v = traced[j]
+        steps = traces_derivation(rs_g, trace_u, trace_v, max_steps=budget)
+        if steps is None:
+            spent["derivations_over_budget"] += 1
+            derivation = None
+        else:
+            spent["certificate_steps"] += len(steps)
+            derivation = derivation_certificate(gm, u, steps)
+        witnesses.append(CollisionWitness(
+            u, v, nf_u, NormalFormCertificate(nf_u, nf_v, trace_u, trace_v),
+            derivation))
     inconclusive = ()
     inconclusive_count = 0
-    if rs_g.status == CONFLUENT:
-        # M's packed words are G(M)'s too (see rewriting); only members of
-        # colliding buckets are decoded
-        strings = list(_irreducible_strings(rs_m, max_len))
-        n = len(strings)
-        g_rules = rs_g._enc_rules
-        buckets: dict = {}
-        for i, s in enumerate(strings):
-            buckets.setdefault(_reduce(s, g_rules)[0], []).append(i)
-        spent["buckets"] = len(buckets)
-        colliding = [members for members in buckets.values()
-                     if len(members) > 1]
-        traced = {}
-        for i in chain.from_iterable(colliding):
-            u = rs_m._codec.dec(strings[i])
-            traced[i] = (u,) + reduce_with_trace(u, rs_g)
-        pairs = sorted((i, j) for members in colliding
-                       for k, i in enumerate(members)
-                       for j in members[k + 1:])
-        spent["pairs_checked"] = len(pairs)
-        for i, j in pairs:
-            u, nf_u, trace_u = traced[i]
-            v, nf_v, trace_v = traced[j]
-            steps = traces_derivation(rs_g, trace_u, trace_v,
-                                      max_steps=budget)
-            if steps is None:
-                spent["derivations_over_budget"] += 1
-                derivation = None
-            else:
-                spent["certificate_steps"] += len(steps)
-                derivation = derivation_certificate(gm, u, steps)
-            witnesses.append(CollisionWitness(
-                u, v, nf_u,
-                NormalFormCertificate(nf_u, nf_v, trace_u, trace_v),
-                derivation))
-    else:
-        elements = enumerate_elements(rs_m, max_len)
-        n = len(elements)
+    if rs_g.status != CONFLUENT and not witnesses:
+        # every bucket is one element, so the pairs not yet apart are all
+        # of them; a search runs on each in order until one finds a chain
+        # or the searches have visited budget words in all
+        elements = list(map(rs_m._codec.dec, strings))
         for u, v in combinations(elements, 2):
             left = budget - spent["words_visited"]
             if left < 2:    # a search visits its two end words first
@@ -197,12 +196,12 @@ def probe_embedding(p: Presentation, max_len: int,
                 witnesses.append(CollisionWitness(
                     u, v, derivation=verdict.certificate))
                 break
-        # a search never answers distinct: the pairs before a collision
-        # stay unsettled, and with no collision every pair does
-        inconclusive_count = spent["pairs_checked"] - 1 if witnesses \
-            else n * (n - 1) // 2
-        kept = min(inconclusive_count, MAX_INCONCLUSIVE_KEPT)
-        inconclusive = tuple(islice(combinations(elements, 2), kept))
+        if not witnesses:
+            # a search never answers distinct, so with no collision every
+            # pair stays unsettled
+            inconclusive_count = n * (n - 1) // 2
+            inconclusive = tuple(islice(combinations(elements, 2),
+                                        MAX_INCONCLUSIVE_KEPT))
     if witnesses:
         status = "collision"
     elif inconclusive_count:

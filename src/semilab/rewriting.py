@@ -359,8 +359,9 @@ def enumerate_elements(rs: RewriteSystem, max_len: int):
 
 @dataclass(frozen=True)
 class NormalFormCertificate:
-    """Both words reduced by a confluent system; equal verdicts have
-    nf_u == nf_v, distinct verdicts differ."""
+    """Both words reduced by a system: the shared irreducible form, when
+    nf_u == nf_v, proves them equal; it is their normal form, and differing
+    forms prove them distinct, only when the system is confluent."""
 
     nf_u: Word
     nf_v: Word

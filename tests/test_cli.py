@@ -183,9 +183,15 @@ def test_non_associative_table_exit2(tmp_path, capsys):
 
 
 def test_bad_params_exit2(capsys):
-    assert main(["rank1", "--n", "3", "--p", "5"]) == EXIT_INPUT
-    assert main(["rank1", "--n", "2", "--p", "6"]) == EXIT_INPUT
-    assert main(["enumerate", "--order", "9"]) == EXIT_INPUT
+    for argv, err in (
+            (["rank1", "--n", "3", "--p", "5"],
+             "error: 3844 nonzero rank-1 matrices over GF(5)^{3x3} exceeds "
+             "the cap of 512\n"),
+            (["rank1", "--n", "2", "--p", "6"], "error: 6 is not prime\n"),
+            (["enumerate", "--order", "9"],
+             "error: enumerate_semigroups supports orders 1 to 4 only\n")):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == err
     assert main(["no-such-verb"]) == EXIT_INPUT
     capsys.readouterr()
 
@@ -233,6 +239,9 @@ GOLDEN_REPORTS = {
         "ffa150315af4276e70660cb292c0a580b92a1dd9e1c8f989ed3345a653001ba0",
     ("probe", "@free-abc.pres", "--max-len", "8"):
         "77cd6e125a75fcf5afc7ddc9133ad9cc84284f6f2807111422b47c6f8161b07f",
+    # G(M) budget-exhausted, yet its rules collapse 19 pairs
+    ("probe", "@quadruple-e.pres", "--max-len", "3"):
+        "a9f7a220272527adfc77941d1941780fee21a86c13fc9935320f4e8ab00ae27e",
     ("laws", "@z3.json"):
         "915479097bbdef2531f317db014da41b8b65757827a6efaa8ce03a6d72c21541",
     ("laws", "@left-zero-2.json"):

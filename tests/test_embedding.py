@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,8 @@ from semilab.embedding import (CollisionWitness, MalcevReport, ProbeError,
                                check_malcev_condition, probe_embedding,
                                quadruple_presentation)
 from semilab.finite import CayleyTable, TableError, enumerate_semigroups
-from semilab.presentations import build_gm, parse_presentation_text
+from semilab.presentations import (build_gm, parse_presentation_file,
+                                    parse_presentation_text)
 from semilab.rewriting import (CONFLUENT, enumerate_elements, kb_complete,
                                reduce, replay_derivation)
 
@@ -19,6 +21,11 @@ FREE2 = pres("letters: a b")
 COMM2 = pres("letters: a b\nrel: b a = a b")
 QUAD = quadruple_presentation()
 TRACE = pres("letters: a b c d\nrel: b a = a b\nrel: d c = c d")
+# the quadruple relations plus e a b = b b a e: G(M) stops at its rule budget
+QUAD_E = parse_presentation_file(
+    Path(__file__).resolve().parent.parent / "inputs" / "quadruple-e.pres")
+# a b = a c in G(M) cancels to b = c, and a b = a to b = 1
+ABSORB = pres("letters: a b c\nrel: a b = a\nrel: a c = a")
 
 
 # -- probe: positive cases --------------------------------------------------
@@ -92,6 +99,35 @@ def test_probe_monotone_in_length():
     assert pairs2 <= pairs3
 
 
+def test_probe_budget_exhausted_extension_buckets():
+    # a search over the pairs in order would spend its whole budget on the
+    # first dozen of 290,703 pairs here and find no collision
+    rep = probe_embedding(QUAD_E, 3)
+    assert rep.budget_spent["extension_status"] == "budget-exhausted"
+    assert rep.status == "collision"
+    assert len(rep.witnesses) == 19
+    w = rep.witnesses[0]
+    assert (QUAD_E.word_str(w.u), QUAD_E.word_str(w.v)) == ("u c", "v d")
+    assert rep.inconclusive_count == 0 and rep.inconclusive == ()
+    for w in rep.witnesses:
+        assert w.derivation.words[-1] == w.v
+        assert replay_derivation(rep.gm, w.derivation)
+
+
+def test_probe_search_collision_settles_the_probe():
+    # two rules leave G(M) incomplete and every bucket a single element, so
+    # the pair search runs; it finds 1 = b, and that answers the probe
+    rep = probe_embedding(ABSORB, 2, max_rules=2)
+    spent = rep.budget_spent
+    assert spent["extension_status"] == "budget-exhausted"
+    assert spent["buckets"] == 11 and spent["words_visited"] > 0
+    assert rep.status == "collision"
+    [w] = rep.witnesses
+    assert (ABSORB.word_str(w.u), ABSORB.word_str(w.v)) == ("1", "b")
+    assert replay_derivation(rep.gm, w.derivation)
+    assert rep.inconclusive_count == 0 and rep.inconclusive == ()
+
+
 def test_probe_pair_order_minimal_first():
     rep = probe_embedding(QUAD, 3)
     lens = [(len(w.u), len(w.v)) for w in rep.witnesses]
@@ -120,8 +156,9 @@ def test_gm_codec_keeps_m_letters():
 
 
 def word_level_probe(p, max_len):
-    """The probe's confluent path on Letter tuples: element count, bucket
-    count and the colliding pairs, minimal first."""
+    """The probe's bucketing on Letter tuples, under the same completion
+    of G(M), confluent or not: element count, bucket count and the
+    colliding pairs, minimal first."""
     rs_g = kb_complete(build_gm(p))
     elements = enumerate_elements(kb_complete(p), max_len)
     buckets = {}
@@ -134,7 +171,8 @@ def word_level_probe(p, max_len):
 
 
 def test_probe_matches_word_level_reference():
-    for p, max_len in ((QUAD, 3), (QUAD, 4), (TRACE, 6), (COMM2, 5)):
+    for p, max_len in ((QUAD, 3), (QUAD, 4), (TRACE, 6), (COMM2, 5),
+                       (QUAD_E, 3)):
         rep = probe_embedding(p, max_len)
         n, buckets, pairs = word_level_probe(p, max_len)
         assert rep.element_count == n
