@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from semilab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from semilab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser,
+                         main)
 from semilab.rank1 import rank1_universe
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -104,14 +106,55 @@ def test_enumerate_verb(capsys):
     assert rep["count"] == 8 and len(rep["tables"]) == 8
 
 
-def test_out_writes_file_and_summary(quad, tmp_path, capsys):
+# stdout of each verb with --out: its summary lines, taken as they were
+# before the handlers shared one report path; "@" names a file under
+# inputs/ or, for @rank1-1-5, the table of rank1_universe(1, 5)
+OUT_SUMMARIES = (
+    (["laws", "@z3.json"], EXIT_OK,
+     "order 3, associative\n"
+     "left_unique: True   right_unique: True\n"
+     "left_solvable: True   right_solvable: True\n"),
+    (["laws", "@left-zero-2.json"], EXIT_OK,
+     "order 2, associative\n"
+     "left_unique: True   right_unique: False\n"
+     "left_solvable: True   right_solvable: False\n"),
+    (["build-gm", "@quadruple.pres"], EXIT_OK,
+     "letters: 16   relations: 22\n"),
+    (["kb", "@quadruple.pres"], EXIT_OK, "status: confluent   rules: 3\n"),
+    (["kb", "@free-group-rank2.pres", "--max-rules", "1"], EXIT_BUDGET,
+     "status: budget-exhausted   rules: 1\n"),
+    (["probe", "@quadruple.pres", "--max-len", "2"], EXIT_OK,
+     "status: collision   elements: 70   witnesses: 1\n"
+     "first witness: u c  and  v d collapse in the extension\n"),
+    (["probe", "@trace-abcd.pres", "--max-len", "3"], EXIT_OK,
+     "status: no-collision-found   elements: 67   witnesses: 0\n"),
+    (["probe", "@freegrp.pres", "--max-rules", "1"], EXIT_BUDGET,
+     "status: budget-exhausted (completion of the base monoid exhausted its "
+     "budget, so its elements cannot be enumerated)\n"),
+    (["malcev", "@z3.json"], EXIT_OK, "holds: True   systems checked: 243\n"),
+    (["malcev", "@rank1-1-5"], EXIT_OK,
+     "holds: False   systems checked: 9025\n"
+     "violations: 4320   first: (0, 0, 0, 1, 0, 1, 0, 0)\n"),
+    (["rank1", "--n", "2", "--p", "3"], EXIT_OK,
+     "elements: 33   idempotents: 13   groups: 12 of order [2]\n"),
+    (["enumerate", "--order", "2"], EXIT_OK,
+     "order 2: 8 associative tables\n"),
+)
+
+
+def test_out_writes_file_and_summary(tmp_path, capsys):
+    paths = {f"@{f.name}": str(f) for f in INPUTS.iterdir()}
+    paths["@freegrp.pres"] = str(tmp_path / "freegrp.pres")
+    (tmp_path / "freegrp.pres").write_text(FREEGRP2_TEXT)
+    paths["@rank1-1-5"] = str(tmp_path / "rank1-1-5.json")
+    (tmp_path / "rank1-1-5.json").write_text(
+        json.dumps(rank1_universe(1, 5).table.to_json()))
     out = tmp_path / "report.json"
-    code = main(["probe", quad, "--max-len", "2", "--out", str(out)])
-    assert code == EXIT_OK
-    text = capsys.readouterr().out
-    assert "collision" in text and "u c" in text
-    rep = json.loads(out.read_text())
-    assert rep["status"] == "collision"
+    for argv, code, summary in OUT_SUMMARIES:
+        argv = [paths.get(a, a) for a in argv]
+        assert main(argv + ["--out", str(out)]) == code, argv
+        assert capsys.readouterr().out == summary, argv
+        assert json.loads(out.read_text())["verb"] == argv[0]
 
 
 # -- exit code 3: budgets -------------------------------------------------------
@@ -182,16 +225,56 @@ def test_non_associative_table_exit2(tmp_path, capsys):
     assert main(["laws", str(path)]) == EXIT_INPUT
 
 
-def test_bad_params_exit2(capsys):
+def test_bad_params_exit2(tmp_path, capsys):
+    files = {"bad.json": "not json", "no-table.json": '{"n": 2}',
+             "bad.pres": "letters: a b\nrel: a c = b\n",
+             "barred.pres": "letters: a a'\nrel: a a' = 1\n",
+             "ext.pres": "letters: a a'\nkind: group-completion\n"
+                         "rel: a a' = 1\nrel: a' a = 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    f = {name: str(tmp_path / name)
+         for name in [*files, "missing.pres", "missing.json"]}
+    quad = str(INPUTS / "quadruple.pres")
     for argv, err in (
+            (["kb", f["missing.pres"]],
+             f"error: {f['missing.pres']}: No such file or directory\n"),
+            (["laws", f["missing.json"]],
+             f"error: {f['missing.json']}: No such file or directory\n"),
+            (["laws", f["bad.json"]],
+             f"error: {f['bad.json']}: not valid JSON: Expecting value: "
+             "line 1 column 1 (char 0)\n"),
+            (["malcev", f["no-table.json"]],
+             f"error: {f['no-table.json']}: table JSON needs fields \"n\" "
+             "and \"table\"\n"),
+            (["kb", f["bad.pres"]],
+             f"error: {f['bad.pres']}: line 2: unknown letter 'c'\n"),
+            (["build-gm", f["barred.pres"]],
+             f"error: {f['barred.pres']}: bar_copy input already contains "
+             "barred letters\n"),
+            (["build-gm", f["ext.pres"]],
+             f"error: {f['ext.pres']}: bar_copy requires a plain-monoid "
+             "presentation\n"),
+            (["probe", f["ext.pres"]],
+             f"error: {f['ext.pres']}: probe expects a plain monoid "
+             "presentation, not an already-extended one\n"),
+            (["probe", quad, "--max-len", "0"],
+             f"error: {quad}: probe length must be at least 1\n"),
+            # completion's own budget check names no file
+            (["kb", quad, "--max-rules", "0"],
+             "error: completion budgets must be positive\n"),
+            (["probe", quad, "--max-rule-len", "0"],
+             "error: completion budgets must be positive\n"),
+            (["rank1", "--n", "0", "--p", "3"],
+             "error: dimension must be at least 1\n"),
             (["rank1", "--n", "3", "--p", "5"],
              "error: 3844 nonzero rank-1 matrices over GF(5)^{3x3} exceeds "
              "the cap of 512\n"),
             (["rank1", "--n", "2", "--p", "6"], "error: 6 is not prime\n"),
             (["enumerate", "--order", "9"],
              "error: enumerate_semigroups supports orders 1 to 4 only\n")):
-        assert main(argv) == EXIT_INPUT
-        assert capsys.readouterr().err == err
+        assert main(argv) == EXIT_INPUT, argv
+        assert capsys.readouterr().err == err, argv
     assert main(["no-such-verb"]) == EXIT_INPUT
     capsys.readouterr()
 
@@ -212,6 +295,31 @@ def test_probe_rejects_extension_input(tmp_path, capsys):
                     "rel: a a' = 1\nrel: a' a = 1\n")
     assert main(["probe", str(path)]) == EXIT_INPUT
     capsys.readouterr()
+
+
+# -- options -----------------------------------------------------------------------
+
+# every verb's option strings and positionals, as they were before the
+# shared options moved to parent parsers
+VERB_OPTIONS = {
+    "laws": {"-h", "--help", "table", "--out"},
+    "build-gm": {"-h", "--help", "presentation", "--out"},
+    "kb": {"-h", "--help", "presentation", "--max-rules", "--max-rule-len",
+           "--out"},
+    "probe": {"-h", "--help", "presentation", "--max-len", "--budget",
+              "--max-rules", "--max-rule-len", "--out"},
+    "malcev": {"-h", "--help", "table", "--out"},
+    "rank1": {"-h", "--help", "--n", "--p", "--cap", "--out"},
+    "enumerate": {"-h", "--help", "--order", "--tables", "--out"},
+}
+
+
+def test_verb_option_sets():
+    parser = _build_parser()
+    verbs, = (a.choices for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction))
+    assert {verb: {s for a in sp._actions for s in a.option_strings or
+                   [a.dest]} for verb, sp in verbs.items()} == VERB_OPTIONS
 
 
 # -- determinism ------------------------------------------------------------------
