@@ -10,7 +10,9 @@ Verbs:
   enumerate  all associative tables of a given order
 
 Every verb emits one deterministic JSON report: to stdout, or to --out with
-a short summary on stdout instead.  The report bytes are exactly those of
+a short summary on stdout instead.  A verb's handler returns the report,
+the summary lines and the exit code; ``main`` adds the verb's name and
+writes the report.  The report bytes are exactly those of
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline; ``_encode``
 writes them with the joins done in C.  Exit codes: 0 the analysis completed
 (finding a collision or a law failure is a completed analysis), 2 bad input
@@ -46,27 +48,34 @@ class _InputError(Exception):
     """Anything wrong with what the user handed us; exits 2."""
 
 
-def _load_table(path: str) -> CayleyTable:
+def _load(path: str, parse):
+    """``parse(path)``, with a missing file, invalid JSON or a bad table or
+    presentation raised as an input error that names ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        return parse(path)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        return CayleyTable.from_json(obj)
-    except TableError as exc:
+    except (TableError, PresentationError) as exc:   # ParseError is one
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _load_presentation(path: str):
-    try:
-        return parse_presentation_file(path)
-    except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}") from None
-    except PresentationError as exc:    # ParseError is one
-        raise _InputError(f"{path}: {exc}") from None
+def _read_table(path: str) -> CayleyTable:
+    with open(path, "r", encoding="utf-8") as fh:
+        return CayleyTable.from_json(json.load(fh))
+
+
+def _load_semigroup(path: str) -> CayleyTable:
+    """A table that must be associative.  The table keeps the scan's answer,
+    so the analyses that check it again do not rescan."""
+    t = _load(path, _read_table)
+    bad = associativity_failure(t)
+    if bad is not None:
+        raise _InputError(
+            f"{path}: not associative: ({bad[0]} {bad[1]}) {bad[2]} "
+            f"!= {bad[0]} ({bad[1]} {bad[2]})")
+    return t
 
 
 # exact type -> encoder for the scalars json writes without a fallback;
@@ -167,123 +176,97 @@ def _emit(report: dict, summary, out_path):
         sys.stdout.write("\n")
 
 
-def _load_semigroup(path: str) -> CayleyTable:
-    """A table that must be associative.  The table keeps the scan's answer,
-    so the analyses that check it again do not rescan."""
-    t = _load_table(path)
-    bad = associativity_failure(t)
-    if bad is not None:
-        raise _InputError(
-            f"{path}: not associative: ({bad[0]} {bad[1]}) {bad[2]} "
-            f"!= {bad[0]} ({bad[1]} {bad[2]})")
-    return t
+# Each handler returns (report, summary lines, exit code).  The library
+# functions it calls are looked up in this module when it runs, so a
+# wrapper installed here sees the call.
 
-
-def _cmd_laws(args) -> int:
+def _cmd_laws(args):
     t = _load_semigroup(args.table)
     rep = check_laws(t)
-    report = {"verb": "laws", "n": t.n, "associative": True,
-              "laws": rep.to_json()}
-    _emit(report, [
+    return {"n": t.n, "associative": True, "laws": rep.to_json()}, [
         f"order {t.n}, associative",
         f"left_unique: {rep.left_unique}   right_unique: {rep.right_unique}",
         f"left_solvable: {rep.left_solvable}   "
         f"right_solvable: {rep.right_solvable}",
-    ], args.out)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def _cmd_build_gm(args) -> int:
-    p = _load_presentation(args.presentation)
-    try:
-        gm = build_gm(p)
-    except PresentationError as exc:
-        raise _InputError(f"{args.presentation}: {exc}") from None
-    report = {"verb": "build-gm",
-              "source": presentation_to_json(p),
-              "extension": presentation_to_json(gm),
-              "extension_text": format_presentation(gm)}
-    _emit(report, [
+def _cmd_build_gm(args):
+    p = _load(args.presentation, parse_presentation_file)
+    # build_gm refuses some presentations; say which file
+    gm = _load(args.presentation, lambda _: build_gm(p))
+    return {"source": presentation_to_json(p),
+            "extension": presentation_to_json(gm),
+            "extension_text": format_presentation(gm)}, [
         f"letters: {len(gm.alphabet)}   relations: {len(gm.relations)}",
-    ], args.out)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def _cmd_kb(args) -> int:
-    p = _load_presentation(args.presentation)
+def _cmd_kb(args):
+    p = _load(args.presentation, parse_presentation_file)
     rs = kb_complete(p, max_rules=args.max_rules, max_len=args.max_rule_len)
-    report = {"verb": "kb",
-              "status": rs.status,
-              "budget_hit": rs.budget_hit,
-              "rule_count": len(rs.rules),
-              "rules": [{"lhs": p.word_str(r.lhs), "rhs": p.word_str(r.rhs)}
-                        for r in rs.rules],
-              "params": {"max_rules": args.max_rules,
-                         "max_rule_len": args.max_rule_len}}
-    _emit(report, [f"status: {rs.status}   rules: {len(rs.rules)}"], args.out)
-    return EXIT_OK if rs.status == CONFLUENT else EXIT_BUDGET
+    return {"status": rs.status,
+            "budget_hit": rs.budget_hit,
+            "rule_count": len(rs.rules),
+            "rules": [{"lhs": p.word_str(r.lhs), "rhs": p.word_str(r.rhs)}
+                      for r in rs.rules],
+            "params": {"max_rules": args.max_rules,
+                       "max_rule_len": args.max_rule_len}}, [
+        f"status: {rs.status}   rules: {len(rs.rules)}",
+    ], EXIT_OK if rs.status == CONFLUENT else EXIT_BUDGET
 
 
-def _cmd_probe(args) -> int:
-    p = _load_presentation(args.presentation)
+def _cmd_probe(args):
+    p = _load(args.presentation, parse_presentation_file)
     try:
         rep = probe_embedding(p, args.max_len, budget=args.budget,
                               max_rules=args.max_rules,
                               max_rule_len=args.max_rule_len)
     except ProbeError as exc:
-        if exc.stage == "base-completion":
-            report = {"verb": "probe", "status": "budget-exhausted",
-                      "stage": exc.stage, "message": str(exc),
-                      "details": exc.details}
-            _emit(report, [f"status: budget-exhausted ({exc})"], args.out)
-            return EXIT_BUDGET
-        raise _InputError(f"{args.presentation}: {exc}") from None
-    report = {"verb": "probe", "max_len": args.max_len}
-    report.update(rep.to_json())
-    report["extension_presentation"] = presentation_to_json(rep.gm)
+        if exc.stage != "base-completion":
+            raise _InputError(f"{args.presentation}: {exc}") from None
+        return {"status": "budget-exhausted", "stage": exc.stage,
+                "message": str(exc), "details": exc.details}, [
+            f"status: budget-exhausted ({exc})"], EXIT_BUDGET
+    report = {"max_len": args.max_len, **rep.to_json(),
+              "extension_presentation": presentation_to_json(rep.gm)}
     summary = [f"status: {rep.status}   elements: {rep.element_count}   "
                f"witnesses: {len(rep.witnesses)}"]
     if rep.witnesses:
         w = rep.witnesses[0]
         summary.append(f"first witness: {p.word_str(w.u)}  and  "
                        f"{p.word_str(w.v)} collapse in the extension")
-    _emit(report, summary, args.out)
-    return EXIT_BUDGET if rep.status == "inconclusive" else EXIT_OK
+    return report, summary, (EXIT_BUDGET if rep.status == "inconclusive"
+                             else EXIT_OK)
 
 
-def _cmd_malcev(args) -> int:
+def _cmd_malcev(args):
     t = _load_semigroup(args.table)
     rep = check_malcev_condition(t)
-    report = {"verb": "malcev", "n": t.n}
-    report.update(rep.to_json())
+    report = {"n": t.n, **rep.to_json()}
     summary = [f"holds: {rep.holds}   systems checked: {rep.systems_checked}"]
     if rep.violations:
         summary.append(f"violations: {len(rep.violations)}   first: "
                        f"{rep.violations[0]}")
-    _emit(report, summary, args.out)
-    return EXIT_OK
+    return report, summary, EXIT_OK
 
 
-def _cmd_rank1(args) -> int:
+def _cmd_rank1(args):
     u = rank1_universe(args.n, args.p, cap=args.cap)
-    report = {"verb": "rank1"}
-    report.update(u.to_json())
     orders = sorted({g[3] for g in u.groups})
-    _emit(report, [
+    return u.to_json(), [
         f"elements: {len(u.elements)}   idempotents: {len(u.idempotents)}   "
         f"groups: {len(u.groups)} of order {orders}",
-    ], args.out)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     tables = list(enumerate_semigroups(args.order))
-    report = {"verb": "enumerate", "order": args.order, "count": len(tables)}
+    report = {"order": args.order, "count": len(tables)}
     if args.tables:
         report["tables"] = [[list(row) for row in t.rows] for t in tables]
-    _emit(report, [f"order {args.order}: {len(tables)} associative tables"],
-          args.out)
-    return EXIT_OK
+    summary = [f"order {args.order}: {len(tables)} associative tables"]
+    return report, summary, EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -292,30 +275,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="semigroup workbench: reversibility laws, group "
                     "extensions, and rank-1 matrix semigroups")
     sub = parser.add_subparsers(dest="verb", required=True)
+    # options that several verbs share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH",
+                     help="write the JSON report here and print a summary")
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
+    budgets.add_argument("--max-rule-len", type=int,
+                         default=DEFAULT_MAX_RULE_LEN)
 
-    def add_out(sp):
-        sp.add_argument("--out", metavar="PATH",
-                        help="write the JSON report here and print a summary")
+    def verb(name, run, help, *parents):
+        sp = sub.add_parser(name, help=help, parents=[*parents, out])
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("laws", help="reversibility laws on a finite table")
+    sp = verb("laws", _cmd_laws, "reversibility laws on a finite table")
     sp.add_argument("table", help="JSON file with fields n and table")
-    add_out(sp)
-    sp.set_defaults(run=_cmd_laws)
 
-    sp = sub.add_parser("build-gm", help="group extension of a presentation")
+    sp = verb("build-gm", _cmd_build_gm, "group extension of a presentation")
     sp.add_argument("presentation", help="presentation text file")
-    add_out(sp)
-    sp.set_defaults(run=_cmd_build_gm)
 
-    sp = sub.add_parser("kb", help="complete a presentation to rewrite rules")
+    sp = verb("kb", _cmd_kb, "complete a presentation to rewrite rules",
+              budgets)
     sp.add_argument("presentation")
-    sp.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
-    sp.add_argument("--max-rule-len", type=int, default=DEFAULT_MAX_RULE_LEN)
-    add_out(sp)
-    sp.set_defaults(run=_cmd_kb)
 
-    sp = sub.add_parser("probe",
-                        help="compare equality in M and in its extension")
+    sp = verb("probe", _cmd_probe,
+              "compare equality in M and in its extension", budgets)
     sp.add_argument("presentation")
     sp.add_argument("--max-len", type=int, default=2,
                     help="probe all elements up to this length")
@@ -323,33 +308,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="steps per witness derivation; when the extension "
                          "does not complete and no bucket collides, words "
                          "visited by all pair searches together")
-    sp.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
-    sp.add_argument("--max-rule-len", type=int, default=DEFAULT_MAX_RULE_LEN)
-    add_out(sp)
-    sp.set_defaults(run=_cmd_probe)
 
-    sp = sub.add_parser("malcev",
-                        help="quadruple condition scan on a finite table")
+    sp = verb("malcev", _cmd_malcev,
+              "quadruple condition scan on a finite table")
     sp.add_argument("table")
-    add_out(sp)
-    sp.set_defaults(run=_cmd_malcev)
 
-    sp = sub.add_parser("rank1",
-                        help="the rank <= 1 matrix semigroup over GF(p)")
+    sp = verb("rank1", _cmd_rank1,
+              "the rank <= 1 matrix semigroup over GF(p)")
     sp.add_argument("--n", type=int, required=True, help="matrix dimension")
     sp.add_argument("--p", type=int, required=True, help="field prime")
     sp.add_argument("--cap", type=int, default=512,
                     help="largest universe to enumerate")
-    add_out(sp)
-    sp.set_defaults(run=_cmd_rank1)
 
-    sp = sub.add_parser("enumerate",
-                        help="all associative tables of one order")
+    sp = verb("enumerate", _cmd_enumerate,
+              "all associative tables of one order")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--tables", action="store_true",
                     help="include every table in the report")
-    add_out(sp)
-    sp.set_defaults(run=_cmd_enumerate)
     return parser
 
 
@@ -360,11 +335,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.run(args)
+        report, summary, code = args.run(args)
     except (_InputError, TableError, PresentationError, MatrixError,
             FieldError, RewritingError, ProbeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report["verb"] = args.verb
+    _emit(report, summary, args.out)
+    return code
 
 
 if __name__ == "__main__":
