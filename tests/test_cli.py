@@ -106,9 +106,9 @@ def test_enumerate_verb(capsys):
     assert rep["count"] == 8 and len(rep["tables"]) == 8
 
 
-# stdout of each verb with --out: its summary lines, taken as they were
-# before the handlers shared one report path; "@" names a file under
-# inputs/ or, for @rank1-1-5, the table of rank1_universe(1, 5)
+# stdout of each verb with --out, its summary lines byte for byte; "@"
+# names a file under inputs/ or, for @rank1-1-5, the table of
+# rank1_universe(1, 5)
 OUT_SUMMARIES = (
     (["laws", "@z3.json"], EXIT_OK,
      "order 3, associative\n"
@@ -299,8 +299,8 @@ def test_probe_rejects_extension_input(tmp_path, capsys):
 
 # -- options -----------------------------------------------------------------------
 
-# every verb's option strings and positionals, as they were before the
-# shared options moved to parent parsers
+# every verb's option strings and positionals, so that no option is added
+# or dropped unnoticed
 VERB_OPTIONS = {
     "laws": {"-h", "--help", "table", "--out"},
     "build-gm": {"-h", "--help", "presentation", "--out"},
