@@ -111,12 +111,16 @@ def test_kb_corpus_confluent_and_interreduced():
         rs = kb_complete(p)
         assert rs.status == CONFLUENT
         assert verify_confluence(rs) == []
-        # interreduced: no rule side contains another rule's left side
-        for i, r in enumerate(rs.rules):
-            for j, other in enumerate(rs.rules):
-                if i != j:
-                    assert not _contains(r.lhs, other.lhs)
-                assert not _contains(r.rhs, other.lhs)
+        assert_interreduced(rs)
+
+
+def assert_interreduced(rs):
+    """No rule side contains another rule's left side."""
+    for i, r in enumerate(rs.rules):
+        for j, other in enumerate(rs.rules):
+            if i != j:
+                assert not _contains(r.lhs, other.lhs)
+            assert not _contains(r.rhs, other.lhs)
 
 
 def _contains(word, factor):
@@ -355,13 +359,16 @@ def test_kb_budget_exhausted_rule_lists_golden(p, budgets, count, digest):
     assert rs.status == BUDGET_EXHAUSTED
     assert len(rs.rules) == count
     assert rule_list_digest(rs) == digest
+    assert_interreduced(rs)
     assert_rules_replay(rs)
 
 
 @given(st.sampled_from(A8_CORPUS + [FREEGRP2, Z2, B3]),
        st.integers(1, 40), st.integers(1, 8))
 def test_rule_derivation_replays_every_rule(p, max_rules, max_len):
-    assert_rules_replay(kb_complete(p, max_rules=max_rules, max_len=max_len))
+    rs = kb_complete(p, max_rules=max_rules, max_len=max_len)
+    assert_interreduced(rs)
+    assert_rules_replay(rs)
 
 
 def test_rule_derivation_replays_corpus_at_default_budgets():
