@@ -8,8 +8,10 @@ answer.  A confluent system decides word equality by normal forms; otherwise
 a bounded bidirectional search over raw relation applications can still
 certify equality (with a replayable derivation) or give up with "unknown".
 
-Completion also keeps a proof of every rule as it makes it, built from the
-reduction traces it computes anyway (see ``_Provenance``).
+Completion keeps its live rules interreduced after every equation, so it
+returns them as they stand, and it keeps a proof of every rule as it makes
+it, built from the reduction traces it computes anyway (see
+``_Provenance``).
 ``rule_derivation`` expands those proofs into raw relation steps, so a
 reduction trace becomes a replayable derivation without any search.  Such
 derivations are not necessarily shortest; the search finds shortest ones.
@@ -175,10 +177,14 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     overlap word first on ties) until no unresolved pair remains, or until
     more than ``max_rules`` rules have been added or a rule side would
     exceed ``max_len`` letters; ``budget_hit`` names the one that tripped.
-    The returned system is interreduced either way.  Every rule version
-    completion makes gets a proof, kept on ``provenance`` as it is made:
-    the traces of the reductions that produced the rule, around the
-    equation it was oriented from (see ``_Provenance``).
+    The returned system is interreduced either way: each new lhs is
+    reduced, the rules whose lhs contains it die, the rhs that contain it
+    are reduced again, and a budget stop changes nothing, so the live
+    rules are returned as they stand, in shortlex order of their lhs.
+    Every rule version completion makes gets a proof, kept on
+    ``provenance`` as it is made: the traces of the reductions that
+    produced the rule, around the equation it was oriented from (see
+    ``_Provenance``).
     """
     if max_rules <= 0 or max_len <= 0:
         raise RewritingError("completion budgets must be positive")
@@ -244,29 +250,12 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                             [(vi, 0, False), (vj, len(li) - k, True)]))
         ok = process_pending()
 
-    final = _tidy(rules, prov)
+    live = sorted(rules.values(), key=lambda lrv: _sl_key(lrv[0]))
+    prov.final = tuple(v for _, _, v in live)
     status = BUDGET_EXHAUSTED if budget_hit else CONFLUENT
-    decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r in final)
+    decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r, _ in live)
     return RewriteSystem(p, decoded, status, budget_hit=budget_hit,
                          provenance=prov)
-
-
-def _tidy(rules, prov):
-    """Final interreduction: drop rules whose lhs contains another live lhs,
-    normalize rhs.  Returns (lhs, rhs) in shortlex order of the sides, and
-    adds their proofs to ``prov`` in that order from key ``prov.final``."""
-    for k, (l, _, _) in list(rules.items()):
-        if any(lo in l for ko, (lo, _, _) in rules.items() if ko != k):
-            del rules[k]
-    out = []
-    for l, r, v in rules.values():
-        r, trace = _reduce(r, rules.values())
-        out.append((l, r, [(v, 0, True)] + trace))
-    out.sort(key=lambda lrp: (_sl_key(lrp[0]), _sl_key(lrp[1])))
-    prov.final = len(prov.proofs)
-    for _, _, proof in out:
-        prov.add(proof)
-    return [(l, r) for l, r, _ in out]
 
 
 def reduce_with_trace(word: Word, rs: RewriteSystem):
@@ -447,7 +436,8 @@ class _Provenance:
     equation from input relation idx is [(~idx, 0, True)], the overlap of
     length k of rule versions v_i and v_j is [(v_i, 0, False), (v_j,
     len(lhs_i) - k, True)], and a killed rule version v is [(v, 0, True)].
-    Final rule m has key ``final + m``.  Every part of a proof has a smaller
+    ``final[m]`` is the key of the live version's proof for final rule m.
+    Every part of a proof has a smaller
     key than the proof's own, so ``lengths``, the raw steps in each proof,
     is filled in as each proof is added, and expansion needs no recursion.
     """
@@ -498,7 +488,7 @@ def rule_derivation(rs: RewriteSystem, idx: int, max_steps=None):
     prov = _provenance(rs)
     if not 0 <= idx < len(rs.rules):
         raise RewritingError(f"no rule {idx}")
-    return prov.expand([(prov.final + idx, 0, True)], max_steps)
+    return prov.expand([(prov.final[idx], 0, True)], max_steps)
 
 
 def traces_derivation(rs: RewriteSystem, trace_u, trace_v, max_steps=None):
@@ -508,9 +498,9 @@ def traces_derivation(rs: RewriteSystem, trace_u, trace_v, max_steps=None):
     ``rule_derivation``, not necessarily shortest, and None when longer
     than ``max_steps``."""
     prov = _provenance(rs)
-    end = prov.final
-    parts = [(end + step.rule, step.pos, True) for step in trace_u]
-    parts += _reversed([(end + step.rule, step.pos, True)
+    final = prov.final
+    parts = [(final[step.rule], step.pos, True) for step in trace_u]
+    parts += _reversed([(final[step.rule], step.pos, True)
                         for step in trace_v])
     return prov.expand(parts, max_steps)
 
