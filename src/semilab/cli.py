@@ -27,7 +27,6 @@ import json
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import itemgetter
 
 from .embedding import ProbeError, check_malcev_condition, probe_embedding
 from .fields import FieldError
@@ -91,10 +90,9 @@ _SLICE = 4096
 def _encode(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with
     ``indent`` the indentation of the line ``obj`` starts on.  With indent
-    set the json module runs its pure-Python encoder; here lists of scalars,
-    of equal-length int rows and of same-key records are joined in C, and
-    json.dumps is called only for what has no exact-type path (floats, int
-    keys, subclasses)."""
+    set the json module runs its pure-Python encoder; here lists of scalars
+    and of equal-length int rows are joined in C, and json.dumps is called
+    only for what has no exact-type path (floats, int keys, subclasses)."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
@@ -147,19 +145,6 @@ def _encode_each(values, indent: str):
                     and set(map(type, chain.from_iterable(values))) == {int}):
                 row = _block(["%d"] * widths.pop(), indent, "[]")
                 return map(row.__mod__, map(tuple, values))
-        elif kind is dict:
-            # records with the same str keys: one %s template, filled
-            # column by column
-            keysets = set(map(frozenset, values))
-            keys = keysets.pop() if len(keysets) == 1 else None
-            if keys and set(map(type, keys)) == {str}:
-                keys = sorted(keys)
-                record = _block(["%s"] * len(keys), indent, "{}",
-                                [k.replace("%", "%%") for k in keys])
-                inner = indent + "  "
-                columns = [_encode_each(list(map(itemgetter(k), values)),
-                                        inner) for k in keys]
-                return map(record.__mod__, zip(*columns))
     return [_encode(v, indent) for v in values]
 
 
