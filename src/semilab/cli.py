@@ -16,8 +16,9 @@ writes the report.  The report bytes are exactly those of
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline; ``_encode``
 writes them with the joins done in C.  Exit codes: 0 the analysis completed
 (finding a collision or a law failure is a completed analysis), 2 bad input
-or parameters, 3 a search budget ran out before the answer was settled (a
-partial report is still written).
+or parameters (an --out path that cannot be written included), 3 a search
+budget ran out before the answer was settled (a partial report is still
+written).
 """
 
 from __future__ import annotations
@@ -48,12 +49,15 @@ class _InputError(Exception):
 
 
 def _load(path: str, parse):
-    """``parse(path)``, with a missing file, invalid JSON or a bad table or
-    presentation raised as an input error that names ``path``."""
+    """``parse(path)``, with a missing file, bytes that are not UTF-8,
+    invalid JSON or a bad table or presentation raised as an input error
+    that names ``path``."""
     try:
         return parse(path)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not valid UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: not valid JSON: {exc}") from None
     except (TableError, PresentationError) as exc:   # ParseError is one
@@ -151,9 +155,12 @@ def _encode_each(values, indent: str):
 def _emit(report: dict, summary, out_path):
     body = _encode(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(body)
-            fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+                fh.write("\n")
+        except OSError as exc:
+            raise _InputError(f"{out_path}: {exc.strerror or exc}") from None
         for line in summary:
             print(line)
     else:
@@ -321,12 +328,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         report, summary, code = args.run(args)
+        report["verb"] = args.verb
+        _emit(report, summary, args.out)
     except (_InputError, TableError, PresentationError, MatrixError,
             FieldError, RewritingError, ProbeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report["verb"] = args.verb
-    _emit(report, summary, args.out)
     return code
 
 

@@ -233,14 +233,25 @@ def test_bad_params_exit2(tmp_path, capsys):
                          "rel: a a' = 1\nrel: a' a = 1\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    # a UTF-16 byte order mark: no UTF-8 text starts with byte 0xff
+    (tmp_path / "utf16.txt").write_bytes(b"\xff\xfea\x00")
     f = {name: str(tmp_path / name)
-         for name in [*files, "missing.pres", "missing.json"]}
+         for name in [*files, "utf16.txt", "missing.pres", "missing.json",
+                      "no-dir/out.json"]}
     quad = str(INPUTS / "quadruple.pres")
     for argv, err in (
             (["kb", f["missing.pres"]],
              f"error: {f['missing.pres']}: No such file or directory\n"),
             (["laws", f["missing.json"]],
              f"error: {f['missing.json']}: No such file or directory\n"),
+            (["kb", f["utf16.txt"]],
+             f"error: {f['utf16.txt']}: not valid UTF-8: invalid start "
+             "byte\n"),
+            (["laws", f["utf16.txt"]],
+             f"error: {f['utf16.txt']}: not valid UTF-8: invalid start "
+             "byte\n"),
+            (["laws", str(INPUTS / "z3.json"), "--out", f["no-dir/out.json"]],
+             f"error: {f['no-dir/out.json']}: No such file or directory\n"),
             (["laws", f["bad.json"]],
              f"error: {f['bad.json']}: not valid JSON: Expecting value: "
              "line 1 column 1 (char 0)\n"),
