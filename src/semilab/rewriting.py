@@ -437,9 +437,9 @@ class _Provenance:
     length k of rule versions v_i and v_j is [(v_i, 0, False), (v_j,
     len(lhs_i) - k, True)], and a killed rule version v is [(v, 0, True)].
     ``final[m]`` is the key of the live version's proof for final rule m.
-    Every part of a proof has a smaller
-    key than the proof's own, so ``lengths``, the raw steps in each proof,
-    is filled in as each proof is added, and expansion needs no recursion.
+    Every part of a proof has a smaller key than the proof's own, so
+    ``lengths``, the raw steps in each proof, is filled in as each proof is
+    added, and expansion needs no recursion.
     """
 
     def __init__(self):
