@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from semilab.presentations import EMPTY, parse_presentation_text, build_gm
 from semilab.embedding import probe_embedding
 from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
-                               UNKNOWN, RewriteSystem, RewritingError,
+                               UNKNOWN, DerivationStep, RewriteSystem, RewritingError,
                                critical_pairs, derivation_certificate,
                                derive_equal, enumerate_elements, equal_words,
                                kb_complete, reduce, reduce_with_trace,
@@ -112,6 +112,37 @@ def test_kb_corpus_confluent_and_interreduced():
         assert rs.status == CONFLUENT
         assert verify_confluence(rs) == []
         assert_interreduced(rs)
+
+
+def brute_critical_pairs(rs):
+    """Every proper overlap and containment of two rule lhs, found by
+    comparing Letter tuples at every offset: (overlap word, result via the
+    first rule, result via the second)."""
+    out = []
+    for i, (li, ri) in enumerate((r.lhs, r.rhs) for r in rs.rules):
+        for j, (lj, rj) in enumerate((r.lhs, r.rhs) for r in rs.rules):
+            for k in range(1, min(len(li), len(lj))):
+                if li[len(li) - k:] == lj[:k]:
+                    out.append((li + lj[k:], ri + lj[k:], li[:-k] + rj))
+            if i != j:
+                for pos in range(len(li) - len(lj) + 1):
+                    if li[pos:pos + len(lj)] == lj:
+                        out.append((li, ri, li[:pos] + rj + li[pos + len(lj):]))
+    return sorted(out)
+
+
+def test_critical_pairs_match_brute_force():
+    # completion generates its overlaps with the same code as critical_pairs,
+    # so this is what checks that code against an independent scan
+    systems = [kb_complete(p) for p in CORPUS + A8_CORPUS]
+    systems += [kb_complete(p, **budgets)
+                for p, budgets, _, _ in GOLDEN_EXHAUSTED]
+    total = 0
+    for rs in systems:
+        want = brute_critical_pairs(rs)
+        assert sorted(critical_pairs(rs)) == want
+        total += len(want)
+    assert total > 0
 
 
 def assert_interreduced(rs):
@@ -324,6 +355,15 @@ def test_replay_rejects_tampered_certificates():
     v = derive_equal(Z2, Z2.word("a a"), EMPTY)
     cert = v.certificate
     bad = type(cert)(cert.words[:-1] + (Z2.word("a"),), cert.steps)
+    assert not replay_derivation(Z2, bad)
+    # one word more than the steps allow
+    bad = type(cert)(cert.words + (EMPTY,), cert.steps)
+    assert not replay_derivation(Z2, bad)
+    # a step whose relation side is not at its position
+    bad = type(cert)(cert.words, (DerivationStep(0, 1, True),))
+    assert not replay_derivation(Z2, bad)
+    # a relation index past the last relation
+    bad = type(cert)(cert.words, (DerivationStep(len(Z2.relations), 0, True),))
     assert not replay_derivation(Z2, bad)
 
 
