@@ -6,10 +6,9 @@ forms, builds the group extension G(M) and completes it too, enumerates
 every element of M up to a length bound, and asks which pairs of distinct
 M-elements become equal in G(M).  A pair that collapses is a witness that no
 embedding exists; the probe reports it together with replayable evidence.
-The comparison runs on packed strings (see rewriting): M's normal forms are
-enumerated packed and bucketed by their irreducible form under G(M)'s rules,
-whether or not its completion finished, and only the members of colliding
-buckets are decoded.
+The comparison is one rewriting call, ``collapsed_normal_forms``: it buckets
+M's normal forms by their irreducible form under G(M)'s rules, whether or
+not G(M)'s completion finished, and returns the colliding buckets as words.
 
 check_malcev_condition runs the classical quadruple test on a finite table:
   x a = y b,  x c = y d,  u a = v b   must force   u c = v d
@@ -20,17 +19,18 @@ building G(M).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
-# reduce and enumerate_elements are unused here but stay bound:
-# bench/spans.py traces the probe's rewriting calls by this module's names
+# reduce is unused here but stays bound: bench/spans.py traces the probe's
+# rewriting calls by this module's names
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, EQUAL, DerivationCertificate,
-                        NormalFormCertificate, _irreducible_strings, _reduce,
+                        NormalFormCertificate, collapsed_normal_forms,
                         derivation_certificate, derive_equal,
-                        enumerate_elements, kb_complete, reduce,  # noqa: F401
+                        enumerate_elements, kb_complete,
+                        reduce,  # noqa: F401
                         reduce_with_trace, traces_derivation)
 
 # inconclusive pairs a report keeps; it counts them all
@@ -112,15 +112,15 @@ def probe_embedding(p: Presentation, max_len: int,
 
     Needs a confluent completion of M itself (otherwise there is no element
     list to compare) and raises ProbeError when the rule budget cannot
-    deliver one.  Elements are bucketed, as packed strings, by their
-    irreducible form under G(M)'s rules, complete or not, and each colliding
-    pair's derivation is built from the completion record, capped at
-    ``budget`` steps.  Only when G(M) did not complete and no bucket
-    collided does the probe search, pair by pair in order, for a relation
-    chain, until one finds a collision or the searches have visited
-    ``budget`` words in all; each search gets what the ones before it left.
-    With no collision found, all n(n-1)/2 pairs are inconclusive: the report
-    counts them and keeps the first MAX_INCONCLUSIVE_KEPT.
+    deliver one.  Elements are bucketed by their irreducible form under
+    G(M)'s rules, complete or not, and each colliding pair's derivation is
+    built from the completion record, capped at ``budget`` steps.  Only
+    when G(M) did not complete and no bucket collided does the probe
+    search, pair by pair in order, for a relation chain, until one finds a
+    collision or the searches have visited ``budget`` words in all; each
+    search gets what the ones before it left.  With no collision found, all
+    n(n-1)/2 pairs are inconclusive: the report counts them and keeps the
+    first MAX_INCONCLUSIVE_KEPT.
     """
     if p.kind != PLAIN:
         raise ProbeError("probe expects a plain monoid presentation, not an "
@@ -146,27 +146,20 @@ def probe_embedding(p: Presentation, max_len: int,
         "certificate_steps": 0,
         "derivations_over_budget": 0,
     }
-    # M's packed words are G(M)'s too (see rewriting); only members of
-    # colliding buckets are decoded
-    strings = list(_irreducible_strings(rs_m, max_len))
-    n = len(strings)
-    g_rules = rs_g._enc_rules
-    buckets: dict = {}
-    for i, s in enumerate(strings):
-        buckets.setdefault(_reduce(s, g_rules)[0], []).append(i)
-    spent["buckets"] = len(buckets)
-    colliding = [members for members in buckets.values() if len(members) > 1]
-    traced = {}
-    for i in chain.from_iterable(colliding):
-        u = rs_m._codec.dec(strings[i])
-        traced[i] = (u,) + reduce_with_trace(u, rs_g)
-    pairs = sorted((i, j) for members in colliding
-                   for k, i in enumerate(members) for j in members[k + 1:])
+    n, spent["buckets"], colliding = collapsed_normal_forms(rs_m, rs_g,
+                                                            max_len)
+    traced = {u: reduce_with_trace(u, rs_g)
+              for members in colliding for u in members}
+    # shortlex order of u, then of v: a bucket lists its members in
+    # shortlex order, and the sort is stable
+    pairs = sorted(((u, v) for members in colliding
+                    for k, u in enumerate(members) for v in members[k + 1:]),
+                   key=lambda uv: (len(uv[0]), uv[0]))
     spent["pairs_checked"] = len(pairs)
     witnesses = []
-    for i, j in pairs:
-        u, nf_u, trace_u = traced[i]
-        v, nf_v, trace_v = traced[j]
+    for u, v in pairs:
+        nf_u, trace_u = traced[u]
+        nf_v, trace_v = traced[v]
         steps = traces_derivation(rs_g, trace_u, trace_v, max_steps=budget)
         if steps is None:
             spent["derivations_over_budget"] += 1
@@ -183,7 +176,7 @@ def probe_embedding(p: Presentation, max_len: int,
         # every bucket is one element, so the pairs not yet apart are all
         # of them; a search runs on each in order until one finds a chain
         # or the searches have visited budget words in all
-        elements = list(map(rs_m._codec.dec, strings))
+        elements = enumerate_elements(rs_m, max_len)
         for u, v in combinations(elements, 2):
             left = budget - spent["words_visited"]
             if left < 2:    # a search visits its two end words first

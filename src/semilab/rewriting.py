@@ -17,23 +17,23 @@ reduction trace becomes a replayable derivation without any search.  Such
 derivations are not necessarily shortest; the search finds shortest ones.
 
 Internally words are packed one letter per character into ordinary strings,
-so factor matching and replacement run on the C string machinery; the
-character code of a letter is its shortlex rank, which makes plain string
-comparison agree with the letter order.  One reduction engine, ``_reduce``,
-rewrites such strings: completion reduces with it, keeping each trace as
-a proof, and ``reduce_with_trace`` traces with it, so both apply rules in
-the same sweep order.  One enumeration, ``_irreducible_strings``, lists a
-confluent system's normal forms as such strings; ``enumerate_elements``
-decodes it, and the embedding probe buckets its strings with ``_reduce``
-directly.  A letter's code depends only on its id and bar, and
-``build_gm`` keeps M's letter ids, so M's strings are G(M)'s strings too.
+so factor matching and replacement run on the C string machinery.  Only
+this module packs: ``_enc`` gives a letter the character ``chr(33 + rank)``,
+so string order is letter order and every presentation packs a letter the
+same way.  One reduction engine, ``_reduce``, rewrites such strings:
+completion reduces with it, keeping each trace as a proof, and
+``reduce_with_trace`` traces with it, so both apply rules in the same sweep
+order.  One overlap generator, ``_overlap_results``, serves completion and
+``critical_pairs``.  One enumeration, ``_irreducible_strings``, lists a
+confluent system's normal forms packed; ``enumerate_elements`` decodes it,
+and ``collapsed_normal_forms`` groups it under another system's rules.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .presentations import Letter, Presentation, Word
 
@@ -57,20 +57,25 @@ class RewritingError(ValueError):
     """Misuse of the rewriting machinery (bad budget, non-confluent input...)."""
 
 
-class _Codec:
-    """Packs words into strings; character order realizes the letter order."""
+@cache
+def _char(letter: Letter) -> str:
+    return chr(_ENC_BASE + letter.rank)
 
-    def __init__(self, p: Presentation):
-        self._letter = {chr(_ENC_BASE + 2 * bid + barred): Letter(bid, barred)
-                        for bid in range(len(p.names))
-                        for barred in (False, True)}
-        self._char = {letter: ch for ch, letter in self._letter.items()}
 
-    def enc(self, word: Word) -> str:
-        return "".join(map(self._char.__getitem__, word))
+@cache
+def _letter(ch: str) -> Letter:
+    # cached, so decoded words share their Letter instances
+    rank = ord(ch) - _ENC_BASE
+    return Letter(rank >> 1, bool(rank & 1))
 
-    def dec(self, s: str) -> Word:
-        return tuple(map(self._letter.__getitem__, s))
+
+def _enc(word: Word) -> str:
+    """The word packed one character per letter, in letter order."""
+    return "".join(map(_char, word))
+
+
+def _dec(s: str) -> Word:
+    return tuple(map(_letter, s))
 
 
 def _sl_key(s: str):
@@ -121,14 +126,9 @@ class RewriteSystem:
     provenance: object = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def _codec(self) -> _Codec:
-        return _Codec(self.source)
-
-    @cached_property
     def _enc_rules(self) -> tuple:
         """The rules as ``_reduce`` takes them: (lhs, rhs, rule index)."""
-        c = self._codec
-        return tuple((c.enc(r.lhs), c.enc(r.rhs), k)
+        return tuple((_enc(r.lhs), _enc(r.rhs), k)
                      for k, r in enumerate(self.rules))
 
 
@@ -156,11 +156,13 @@ def _reduce(s, rules):
         s = t
 
 
-def _overlaps(li: str, lj: str) -> list:
-    """Lengths k, ascending, of the proper overlaps where a suffix of ``li``
-    is a prefix of ``lj``."""
-    return [k for k in range(1, min(len(li), len(lj)))
-            if lj.startswith(li[-k:])]
+def _overlap_results(li: str, ri: str, lj: str, rj: str):
+    """For each proper overlap of rules li -> ri and lj -> rj, a suffix of
+    li of length k that is a prefix of lj, longest first: k and the overlap
+    word li + lj[k:] rewritten by the first rule and by the second."""
+    for k in range(min(len(li), len(lj)) - 1, 0, -1):
+        if lj.startswith(li[-k:]):
+            yield k, ri + lj[k:], li[:-k] + rj
 
 
 def _orient(a: str, b: str):
@@ -188,8 +190,6 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     """
     if max_rules <= 0 or max_len <= 0:
         raise RewritingError("completion budgets must be positive")
-    codec = _Codec(p)
-
     # live rules in index order: index -> (lhs, rhs, proof key of this
     # version), the triples _reduce takes
     rules = {}
@@ -234,8 +234,7 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
         return True
 
     for idx, rel in enumerate(p.relations):
-        pending.append((codec.enc(rel.lhs), codec.enc(rel.rhs),
-                        [(~idx, 0, True)]))
+        pending.append((_enc(rel.lhs), _enc(rel.rhs), [(~idx, 0, True)]))
     ok = process_pending()
 
     while ok and tasks:
@@ -244,16 +243,14 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
             continue
         li, ri, vi = rules[i]
         lj, rj, vj = rules[j]
-        # a longer overlap gives a shorter overlap word li + lj[k:]
-        for k in reversed(_overlaps(li, lj)):
-            pending.append((ri + lj[k:], li[:-k] + rj,
-                            [(vi, 0, False), (vj, len(li) - k, True)]))
+        for k, a, b in _overlap_results(li, ri, lj, rj):
+            pending.append((a, b, [(vi, 0, False), (vj, len(li) - k, True)]))
         ok = process_pending()
 
     live = sorted(rules.values(), key=lambda lrv: _sl_key(lrv[0]))
     prov.final = tuple(v for _, _, v in live)
     status = BUDGET_EXHAUSTED if budget_hit else CONFLUENT
-    decoded = tuple(Rule(codec.dec(l), codec.dec(r)) for l, r, _ in live)
+    decoded = tuple(Rule(_dec(l), _dec(r)) for l, r, _ in live)
     return RewriteSystem(p, decoded, status, budget_hit=budget_hit,
                          provenance=prov)
 
@@ -265,34 +262,30 @@ def reduce_with_trace(word: Word, rs: RewriteSystem):
     sweep changes nothing.  Every step applies to the word the steps before
     it left.  On a confluent system the irreducible form is the unique
     normal form; on a budget-exhausted one it can depend on this order."""
-    s, parts = _reduce(rs._codec.enc(word), rs._enc_rules)
-    return rs._codec.dec(s), tuple(ReductionStep(k, pos)
-                                   for k, pos, _ in parts)
+    s, parts = _reduce(_enc(word), rs._enc_rules)
+    return _dec(s), tuple(ReductionStep(k, pos) for k, pos, _ in parts)
 
 
 def reduce(word: Word, rs: RewriteSystem) -> Word:
     """The word rewritten until no rule lhs occurs as a factor, in the order
     of ``reduce_with_trace``."""
-    return rs._codec.dec(_reduce(rs._codec.enc(word), rs._enc_rules)[0])
+    return _dec(_reduce(_enc(word), rs._enc_rules)[0])
 
 
 def critical_pairs(rs: RewriteSystem):
     """All critical pairs (overlap word, result via rule i, result via rule j)
     of the system, overlaps and containments alike, as words."""
     enc_rules = rs._enc_rules
-    dec = rs._codec.dec
     out = []
     for li, ri, i in enc_rules:
         for lj, rj, j in enc_rules:
-            for k in _overlaps(li, lj):
-                out.append((dec(li + lj[k:]),
-                            dec(ri + lj[k:]),
-                            dec(li[:-k] + rj)))
+            for k, a, b in _overlap_results(li, ri, lj, rj):
+                out.append((_dec(li + lj[k:]), _dec(a), _dec(b)))
             if i != j and lj in li:
                 start = 0
                 while (pos := li.find(lj, start)) != -1:
-                    out.append((dec(li), dec(ri),
-                                dec(li[:pos] + rj + li[pos + len(lj):])))
+                    out.append((_dec(li), _dec(ri),
+                                _dec(li[:pos] + rj + li[pos + len(lj):])))
                     start = pos + 1
     return out
 
@@ -318,7 +311,7 @@ def _irreducible_strings(rs: RewriteSystem, max_len: int):
         raise RewritingError("element enumeration requires a confluent system")
     lhss = frozenset(l for l, _, _ in rs._enc_rules)
     lens = sorted({len(l) for l in lhss})
-    chars = sorted(rs._codec.enc(rs.source.alphabet))
+    chars = sorted(_enc(rs.source.alphabet))
     level = [""]
     yield ""
     for _ in range(max_len):
@@ -338,9 +331,26 @@ def _irreducible_strings(rs: RewriteSystem, max_len: int):
 def enumerate_elements(rs: RewriteSystem, max_len: int):
     """All irreducible words of length <= max_len, in shortlex order; each is
     the canonical representative of a distinct element.  Requires a confluent
-    system.  This is ``_irreducible_strings`` decoded, the enumeration the
-    probe runs on packed strings."""
-    return list(map(rs._codec.dec, _irreducible_strings(rs, max_len)))
+    system."""
+    return list(map(_dec, _irreducible_strings(rs, max_len)))
+
+
+def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,
+                           max_len: int):
+    """The normal forms of the confluent ``rs`` of length <= max_len,
+    grouped by their irreducible form under ``other``'s rules, confluent or
+    not.  Returns the number of normal forms, the number of groups, and the
+    groups of two or more, each a tuple of words in shortlex order, in the
+    order of their first members.  Only those groups are decoded.  The
+    embedding probe calls it with M's and G(M)'s systems."""
+    o_rules = other._enc_rules
+    groups = {}
+    n = 0
+    for s in _irreducible_strings(rs, max_len):
+        n += 1
+        groups.setdefault(_reduce(s, o_rules)[0], []).append(s)
+    collapsed = [tuple(map(_dec, g)) for g in groups.values() if len(g) > 1]
+    return n, len(groups), collapsed
 
 
 # -- word equality --------------------------------------------------------
@@ -394,16 +404,13 @@ def apply_derivation_step(p: Presentation, word: Word,
 
 
 def replay_derivation(p: Presentation, cert: DerivationCertificate) -> bool:
-    """Re-check every step of a derivation against the raw relations."""
-    if len(cert.words) != len(cert.steps) + 1:
+    """Re-check every step of a derivation against the raw relations: the
+    steps applied from the first word must pass through exactly its words."""
+    try:
+        return derivation_certificate(p, cert.words[0],
+                                      cert.steps).words == cert.words
+    except (RewritingError, IndexError):
         return False
-    for word, step, nxt in zip(cert.words, cert.steps, cert.words[1:]):
-        try:
-            if apply_derivation_step(p, word, step) != nxt:
-                return False
-        except (RewritingError, IndexError):
-            return False
-    return True
 
 
 def derivation_certificate(p: Presentation, word: Word,
@@ -512,13 +519,12 @@ def derive_equal(p: Presentation, u: Word, v: Word,
     replayable derivation) or unknown once ``budget`` visited words or the
     length cap prune the search.  The two end words count as visited, and no
     other word is visited past ``budget``."""
-    codec = _Codec(p)
     rels = []
     for idx, rel in enumerate(p.relations):
-        a, b = codec.enc(rel.lhs), codec.enc(rel.rhs)
+        a, b = _enc(rel.lhs), _enc(rel.rhs)
         if a != b:
             rels.append((idx, a, b))
-    su, sv = codec.enc(u), codec.enc(v)
+    su, sv = _enc(u), _enc(v)
     maxlen = max(len(su), len(sv)) + LEN_SLACK
     spent = {"visited": 2, "max_word_len": maxlen}
 

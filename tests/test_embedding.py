@@ -146,13 +146,10 @@ def test_probe_report_json_shape():
 
 # -- probe: the packed pipeline against words -------------------------------
 
-def test_gm_codec_keeps_m_letters():
-    # the probe buckets M's packed words with G(M)'s rules unconverted
+def test_gm_keeps_m_letters():
+    # the probe reduces M's words with G(M)'s rules as they are
     for p in (QUAD, TRACE, COMM2):
-        m_codec = kb_complete(p)._codec
-        g_codec = kb_complete(build_gm(p))._codec
-        for letter in p.alphabet:
-            assert m_codec.enc((letter,)) == g_codec.enc((letter,))
+        assert set(p.alphabet) <= set(build_gm(p).alphabet)
 
 
 def word_level_probe(p, max_len):
