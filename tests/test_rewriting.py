@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 from semilab.presentations import EMPTY, parse_presentation_text, build_gm
 from semilab.embedding import probe_embedding
 from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
-                               UNKNOWN, DerivationStep, RewriteSystem, RewritingError,
-                               critical_pairs, derivation_certificate,
-                               derive_equal, enumerate_elements, equal_words,
-                               kb_complete, reduce, reduce_with_trace,
-                               replay_derivation, rule_derivation,
-                               shortlex_less, verify_confluence)
+                               UNKNOWN, DerivationStep, RewriteSystem,
+                               RewritingError, critical_pairs,
+                               derivation_certificate, derive_equal,
+                               enumerate_elements, equal_words, kb_complete,
+                               reduce, reduce_with_trace, replay_derivation,
+                               rule_derivation, shortlex_less,
+                               verify_confluence)
 
 
 def pres(text):
@@ -122,7 +123,7 @@ def brute_critical_pairs(rs):
     for i, (li, ri) in enumerate((r.lhs, r.rhs) for r in rs.rules):
         for j, (lj, rj) in enumerate((r.lhs, r.rhs) for r in rs.rules):
             for k in range(1, min(len(li), len(lj))):
-                if li[len(li) - k:] == lj[:k]:
+                if li[-k:] == lj[:k]:
                     out.append((li + lj[k:], ri + lj[k:], li[:-k] + rj))
             if i != j:
                 for pos in range(len(li) - len(lj) + 1):
@@ -137,12 +138,8 @@ def test_critical_pairs_match_brute_force():
     systems = [kb_complete(p) for p in CORPUS + A8_CORPUS]
     systems += [kb_complete(p, **budgets)
                 for p, budgets, _, _ in GOLDEN_EXHAUSTED]
-    total = 0
     for rs in systems:
-        want = brute_critical_pairs(rs)
-        assert sorted(critical_pairs(rs)) == want
-        total += len(want)
-    assert total > 0
+        assert sorted(critical_pairs(rs)) == brute_critical_pairs(rs)
 
 
 def assert_interreduced(rs):
