@@ -27,6 +27,12 @@ order.  One overlap generator, ``_overlap_results``, serves completion and
 ``critical_pairs``.  One enumeration, ``_irreducible_strings``, lists a
 confluent system's normal forms packed; ``enumerate_elements`` decodes it,
 and ``collapsed_normal_forms`` groups it under another system's rules.
+That grouping tries only the rules that can fire: a rule whose lhs needs a
+letter that neither the words nor any rhs reachable from them contain never
+matches, and when each rule left contains a lhs of the first system, none
+matches a normal form, so no word is reduced at all.  Both filters drop
+only rules that would fail their match test, so the groups are exactly
+those under all of the other system's rules.
 """
 
 from __future__ import annotations
@@ -335,6 +341,24 @@ def enumerate_elements(rs: RewriteSystem, max_len: int):
     return list(map(_dec, _irreducible_strings(rs, max_len)))
 
 
+def _rules_that_can_fire(rs: RewriteSystem, other: RewriteSystem) -> tuple:
+    """The rules of ``other``, in order and with their keys, that can fire
+    while a word over ``rs``'s letters is reduced: those whose lhs uses only
+    letters reachable from ``rs``'s alphabet, where a rule whose lhs uses
+    only reachable letters makes its rhs letters reachable too.  Any other
+    rule needs a letter that no such reduction can produce."""
+    reached = set(_enc(rs.source.alphabet))
+    grew = True
+    while grew:
+        grew = False
+        for l, r, _ in other._enc_rules:
+            if reached.issuperset(l) and not reached.issuperset(r):
+                reached.update(r)
+                grew = True
+    return tuple(rule for rule in other._enc_rules
+                 if reached.issuperset(rule[0]))
+
+
 def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,
                            max_len: int):
     """The normal forms of the confluent ``rs`` of length <= max_len,
@@ -342,15 +366,34 @@ def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,
     not.  Returns the number of normal forms, the number of groups, and the
     groups of two or more, each a tuple of words in shortlex order, in the
     order of their first members.  Only those groups are decoded.  The
-    embedding probe calls it with M's and G(M)'s systems."""
-    o_rules = other._enc_rules
+    embedding probe calls it with M's and G(M)'s systems.
+
+    Two filters leave every group as reducing under all of ``other``'s
+    rules would.  A rule whose lhs needs a letter that can never appear
+    fails its ``in`` test on every sweep, so only the rules that can fire
+    are tried (``_rules_that_can_fire``).  And a normal form of ``rs``
+    contains no lhs of ``rs``: when each of those rules' lhs contains one,
+    none matches a normal form, so every normal form is its own irreducible
+    form and its own group, and the normal forms are only counted.  That
+    test is all or nothing, since once one rule fires, any of them may.
+    Each group keeps only its first member until a second one arrives."""
+    rules = _rules_that_can_fire(rs, other)
+    lhss = [l for l, _, _ in rs._enc_rules]
+    if all(any(m in l for m in lhss) for l, _, _ in rules):
+        n = sum(1 for _ in _irreducible_strings(rs, max_len))
+        return n, n, []
+    first = {}
     groups = {}
     n = 0
     for s in _irreducible_strings(rs, max_len):
         n += 1
-        groups.setdefault(_reduce(s, o_rules)[0], []).append(s)
-    collapsed = [tuple(map(_dec, g)) for g in groups.values() if len(g) > 1]
-    return n, len(groups), collapsed
+        key = _reduce(s, rules)[0]
+        # setdefault hands s back only when s opens the group
+        f = first.setdefault(key, s)
+        if f is not s:
+            groups.setdefault(key, [f]).append(s)
+    collapsed = sorted(groups.values(), key=lambda g: _sl_key(g[0]))
+    return n, len(first), [tuple(map(_dec, g)) for g in collapsed]
 
 
 # -- word equality --------------------------------------------------------
@@ -395,7 +438,11 @@ class EqualityVerdict:
 
 def apply_derivation_step(p: Presentation, word: Word,
                           step: DerivationStep) -> Word:
-    """The word after one relation application; raises if it does not fit."""
+    """The word after one relation application; raises if it does not fit,
+    or if it names no relation of ``p`` or a position outside the word."""
+    if not (0 <= step.relation < len(p.relations)
+            and 0 <= step.pos <= len(word)):
+        raise RewritingError("derivation step is out of range")
     rel = p.relations[step.relation]
     old, new = (rel.lhs, rel.rhs) if step.forward else (rel.rhs, rel.lhs)
     if word[step.pos:step.pos + len(old)] != old:
@@ -406,10 +453,12 @@ def apply_derivation_step(p: Presentation, word: Word,
 def replay_derivation(p: Presentation, cert: DerivationCertificate) -> bool:
     """Re-check every step of a derivation against the raw relations: the
     steps applied from the first word must pass through exactly its words."""
+    if not cert.words:
+        return False
     try:
         return derivation_certificate(p, cert.words[0],
                                       cert.steps).words == cert.words
-    except (RewritingError, IndexError):
+    except RewritingError:
         return False
 
 

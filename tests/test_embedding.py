@@ -2,15 +2,18 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from semilab import rewriting
 from semilab.embedding import (CollisionWitness, MalcevReport, ProbeError,
                                check_malcev_condition, probe_embedding,
                                quadruple_presentation)
 from semilab.finite import CayleyTable, TableError, enumerate_semigroups
 from semilab.presentations import (build_gm, parse_presentation_file,
                                     parse_presentation_text)
-from semilab.rewriting import (CONFLUENT, enumerate_elements, kb_complete,
-                               reduce, replay_derivation)
+from semilab.rewriting import (CONFLUENT, collapsed_normal_forms,
+                               enumerate_elements, kb_complete, reduce,
+                               replay_derivation)
 
 
 def pres(text):
@@ -18,12 +21,13 @@ def pres(text):
 
 
 FREE2 = pres("letters: a b")
+FREE3 = pres("letters: a b c")
 COMM2 = pres("letters: a b\nrel: b a = a b")
 QUAD = quadruple_presentation()
 TRACE = pres("letters: a b c d\nrel: b a = a b\nrel: d c = c d")
 # the quadruple relations plus e a b = b b a e: G(M) stops at its rule budget
-QUAD_E = parse_presentation_file(
-    Path(__file__).resolve().parent.parent / "inputs" / "quadruple-e.pres")
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+QUAD_E = parse_presentation_file(INPUTS / "quadruple-e.pres")
 # a b = a c in G(M) cancels to b = c, and a b = a to b = 1
 ABSORB = pres("letters: a b c\nrel: a b = a\nrel: a c = a")
 
@@ -152,12 +156,14 @@ def test_gm_keeps_m_letters():
         assert set(p.alphabet) <= set(build_gm(p).alphabet)
 
 
-def word_level_probe(p, max_len):
-    """The probe's bucketing on Letter tuples, under the same completion
-    of G(M), confluent or not: element count, bucket count and the
-    colliding pairs, minimal first."""
-    rs_g = kb_complete(build_gm(p))
-    elements = enumerate_elements(kb_complete(p), max_len)
+def word_level_probe(p, max_len, max_rules=rewriting.DEFAULT_MAX_RULES,
+                     max_rule_len=rewriting.DEFAULT_MAX_RULE_LEN):
+    """The probe's bucketing on Letter tuples, under every rule of the same
+    completion of G(M), confluent or not: element count, bucket count and
+    the colliding pairs, minimal first."""
+    budgets = {"max_rules": max_rules, "max_len": max_rule_len}
+    rs_g = kb_complete(build_gm(p), **budgets)
+    elements = enumerate_elements(kb_complete(p, **budgets), max_len)
     buckets = {}
     for i, w in enumerate(elements):
         buckets.setdefault(reduce(w, rs_g), []).append(i)
@@ -168,13 +174,77 @@ def word_level_probe(p, max_len):
 
 
 def test_probe_matches_word_level_reference():
+    # no rule of G(M) can fire on a normal form of FREE2, FREE3 (no rule
+    # kept), TRACE or COMM2 (only M's own rules kept); QUAD, QUAD_E and
+    # ABSORB are bucketed under the rules that can fire
     for p, max_len in ((QUAD, 3), (QUAD, 4), (TRACE, 6), (COMM2, 5),
-                       (QUAD_E, 3)):
+                       (QUAD_E, 3), (FREE2, 5), (FREE3, 4), (ABSORB, 4)):
         rep = probe_embedding(p, max_len)
         n, buckets, pairs = word_level_probe(p, max_len)
         assert rep.element_count == n
         assert rep.budget_spent["buckets"] == buckets
         assert [(w.u, w.v) for w in rep.witnesses] == pairs
+
+
+SIDES = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 3), st.lists(st.tuples(SIDES, SIDES), min_size=1,
+                                   max_size=2),
+       st.integers(1, 20), st.integers(1, 3))
+def test_collapsed_normal_forms_match_word_level_reference(
+        n_letters, relations, max_rules, max_len):
+    def side(ids):
+        return " ".join("abc"[i % n_letters] for i in ids)
+    p = pres(f"letters: {side(range(n_letters))}\n" + "".join(
+        f"rel: {side(l)} = {side(r)}\n" for l, r in relations))
+    budgets = {"max_rules": max_rules, "max_len": 6}
+    rs_m = kb_complete(p, **budgets)
+    assume(rs_m.status == CONFLUENT)
+    n, buckets, groups = collapsed_normal_forms(
+        rs_m, kb_complete(build_gm(p), **budgets), max_len)
+    elements = enumerate_elements(rs_m, max_len)
+    index = {w: i for i, w in enumerate(elements)}
+    firsts = [index[g[0]] for g in groups]
+    assert firsts == sorted(firsts)
+    pairs = sorted((index[u], index[v]) for g in groups
+                   for k, u in enumerate(g) for v in g[k + 1:])
+    assert (n, buckets, [(elements[i], elements[j]) for i, j in pairs]) \
+        == word_level_probe(p, max_len, max_rules, 6)
+
+
+def test_rules_that_can_fire_counts():
+    # (input, G(M) rules, rules kept, whether one can fire on a normal form)
+    for name, total, kept, fires in (("trace-abcd", 16, 2, False),
+                                     ("quadruple", 40, 4, True),
+                                     ("free-abc", 6, 0, False)):
+        p = parse_presentation_file(INPUTS / f"{name}.pres")
+        rs_m, rs_g = kb_complete(p), kb_complete(build_gm(p))
+        assert len(rs_g.rules) == total
+        assert len(rewriting._rules_that_can_fire(rs_m, rs_g)) == kept
+        calls = []
+
+        def counting_reduce(s, rules, _reduce=rewriting._reduce):
+            calls.append(s)
+            return _reduce(s, rules)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rewriting, "_reduce", counting_reduce)
+            n, buckets, _ = collapsed_normal_forms(rs_m, rs_g, 3)
+        assert bool(calls) == fires
+        assert len(calls) == (n if fires else 0)
+
+
+def test_collapsed_groups_in_order_of_first_members():
+    rs_m, rs_g = kb_complete(QUAD), kb_complete(build_gm(QUAD))
+    groups = collapsed_normal_forms(rs_m, rs_g, 3)[2]
+    elements = enumerate_elements(rs_m, 3)
+    index = {w: i for i, w in enumerate(elements)}
+    firsts = [index[g[0]] for g in groups]
+    assert len(groups) == 17 and firsts == sorted(firsts)
+    # not vacuous: in the order of their second members they would differ
+    seconds = sorted(groups, key=lambda g: index[g[1]])
+    assert [index[g[0]] for g in seconds] != firsts
 
 
 # -- probe: errors and budgets ------------------------------------------------

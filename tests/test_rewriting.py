@@ -362,6 +362,17 @@ def test_replay_rejects_tampered_certificates():
     # a relation index past the last relation
     bad = type(cert)(cert.words, (DerivationStep(len(Z2.relations), 0, True),))
     assert not replay_derivation(Z2, bad)
+    # a negative relation index, which would name the last relation
+    bad = type(cert)(cert.words, (DerivationStep(-1, 0, True),))
+    assert not replay_derivation(Z2, bad)
+    # a position outside the word: an empty side matches anywhere
+    back = type(cert)(cert.words[::-1], (DerivationStep(0, 0, False),))
+    assert replay_derivation(Z2, back)
+    for pos in (-1, 1):
+        bad = type(cert)(back.words, (DerivationStep(0, pos, False),))
+        assert not replay_derivation(Z2, bad)
+    # no words at all
+    assert not replay_derivation(Z2, type(cert)((), ()))
 
 
 # -- completion records -------------------------------------------------------
