@@ -230,8 +230,7 @@ def test_rules_that_can_fire_counts():
             return _reduce(s, rules)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rewriting, "_reduce", counting_reduce)
-            n, buckets, _ = collapsed_normal_forms(rs_m, rs_g, 3)
-        assert bool(calls) == fires
+            n = collapsed_normal_forms(rs_m, rs_g, 3)[0]
         assert len(calls) == (n if fires else 0)
 
 
