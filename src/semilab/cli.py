@@ -211,9 +211,10 @@ def _cmd_kb(args):
 def _cmd_probe(args):
     p = _load(args.presentation, parse_presentation_file)
     try:
-        rep = probe_embedding(p, args.max_len, budget=args.budget,
-                              max_rules=args.max_rules,
-                              max_rule_len=args.max_rule_len)
+        # build_gm refuses some presentations; say which file
+        rep = _load(args.presentation, lambda _: probe_embedding(
+            p, args.max_len, budget=args.budget, max_rules=args.max_rules,
+            max_rule_len=args.max_rule_len))
     except ProbeError as exc:
         if exc.stage != "base-completion":
             raise _InputError(f"{args.presentation}: {exc}") from None
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
         report["verb"] = args.verb
         _emit(report, summary, args.out)
     except (_InputError, TableError, PresentationError, MatrixError,
-            FieldError, RewritingError, ProbeError) as exc:
+            FieldError, RewritingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

@@ -253,20 +253,19 @@ def check_malcev_condition(t: CayleyTable) -> MalcevReport:
                          "table is not associative")
     rng = range(t.n)
     cols = tuple(zip(*t.rows))
-    eq_pairs = {(a, b): [(x, y) for x, xa in enumerate(cols[a])
-                         for y, yb in enumerate(cols[b]) if xa == yb]
-                for a in rng for b in rng}
-    eq_sets = {ab: set(pairs) for ab, pairs in eq_pairs.items()}
+    eq = {(a, b): frozenset((x, y) for x, xa in enumerate(cols[a])
+                            for y, yb in enumerate(cols[b]) if xa == yb)
+          for a in rng for b in rng}
     checked = 0
     violations = []
-    for (a, b), p_ab in eq_pairs.items():
-        for (c, d), p_cd in eq_sets.items():
-            anchors = [xy for xy in p_ab if xy in p_cd]
+    for (a, b), p_ab in eq.items():
+        for (c, d), p_cd in eq.items():
+            anchors = p_ab & p_cd
             if not anchors:
                 continue
             checked += len(p_ab) * len(anchors)
-            for u, v in p_ab:
-                if (u, v) not in p_cd:
-                    violations.extend((a, b, c, d, u, v, x, y)
-                                      for x, y in anchors)
+            anchors = sorted(anchors)
+            violations.extend((a, b, c, d, u, v, x, y)
+                              for u, v in sorted(p_ab - p_cd)
+                              for x, y in anchors)
     return MalcevReport(checked, tuple(violations))

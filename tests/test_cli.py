@@ -266,6 +266,9 @@ def test_bad_params_exit2(tmp_path, capsys):
             (["build-gm", f["ext.pres"]],
              f"error: {f['ext.pres']}: bar_copy requires a plain-monoid "
              "presentation\n"),
+            (["probe", f["barred.pres"]],
+             f"error: {f['barred.pres']}: bar_copy input already contains "
+             "barred letters\n"),
             (["probe", f["ext.pres"]],
              f"error: {f['ext.pres']}: probe expects a plain monoid "
              "presentation, not an already-extended one\n"),

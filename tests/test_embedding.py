@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import chain, islice, product
 from pathlib import Path
 
 import pytest
@@ -340,15 +340,16 @@ def test_malcev_left_zero_matches_brute_force():
     assert list(rep.violations) == violations == []
 
 
-def test_malcev_matches_brute_force_order3_sample():
-    # every table of order <= 3, violations in the brute force's
-    # lexicographic order
-    for n in (1, 2, 3):
-        for t in enumerate_semigroups(n):
-            rep = check_malcev_condition(t)
-            checked, violations = brute_malcev(t)
-            assert rep.systems_checked == checked
-            assert list(rep.violations) == violations
+def test_malcev_matches_brute_force_order3_and_order4_sample():
+    # every table of order <= 3 and every 100th of order 4, where the sizes
+    # of P_ab vary, violations in the brute force's lexicographic order
+    tables = chain(*map(enumerate_semigroups, (1, 2, 3)),
+                   islice(enumerate_semigroups(4), 0, None, 100))
+    for t in tables:
+        rep = check_malcev_condition(t)
+        checked, violations = brute_malcev(t)
+        assert rep.systems_checked == checked
+        assert list(rep.violations) == violations
 
 
 def test_malcev_violations_re_verify():
