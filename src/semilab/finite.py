@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 class TableError(ValueError):
@@ -113,18 +114,23 @@ def associativity_failure(t: CayleyTable):
 
 
 def _scan_associativity(t: CayleyTable):
+    """Compare, for each (x, y), the row z -> (xy)z, which is rows[xy], with
+    the row z -> x(yz), which ``itemgetter(*rows[y])`` reads out of rows[x]
+    in C.  Equal rows have no failing z, so the Python z-loop runs only where
+    they differ: at the first failing (x, y), to name its first z.  At n = 1 itemgetter returns an entry, not a row, so the
+    comparison always differs there and the z-loop alone decides."""
     rows = t.rows
     n = t.n
     rng = range(n)
-    for x in rng:
-        rx = rows[x]
+    g = [itemgetter(*row) for row in rows]
+    for x, rx in enumerate(rows):
         for y in rng:
-            xy = rx[y]
-            ry = rows[y]
-            rxy = rows[xy]
-            for z in rng:
-                if rxy[z] != rx[ry[z]]:
-                    return (x, y, z)
+            rxy = rows[rx[y]]
+            if rxy != g[y](rx):
+                ry = rows[y]
+                for z in rng:
+                    if rxy[z] != rx[ry[z]]:
+                        return (x, y, z)
     return None
 
 
@@ -291,26 +297,50 @@ def enumerate_semigroups(n: int):
     size = n * n
     t = [-1] * size
     rng = range(n)
+    bases = range(0, size, n)
 
     def consistent_after(cell):
-        # scan the triples whose four products are all decided; a cheap full
-        # pass beats bookkeeping at n <= 4
-        for x in rng:
-            base = x * n
+        # the table was consistent before t[cell] was set, so only a triple
+        # that reads this cell can fail.  It reads it as xy, as yz, as (xy)z
+        # or as x(yz), one pass each, O(n^2) work in all; a triple with an
+        # undecided product (-1) is checked once that product is filled
+        i, j = divmod(cell, n)
+        v = t[cell]
+        ib = i * n
+        jb = j * n
+        vb = v * n
+        for z in rng:                           # xy: x = i, y = j
+            yz = t[jb + z]
+            if yz >= 0:
+                left = t[vb + z]
+                right = t[ib + yz]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for xb in bases:                        # yz: y = i, z = j
+            xy = t[xb + i]
+            if xy >= 0:
+                left = t[xy * n + j]
+                right = t[xb + v]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for xb in bases:                        # (xy)z = v: xy = i, z = j
             for y in rng:
-                xy = t[base + y]
-                if xy < 0:
-                    continue
+                if t[xb + y] == i:
+                    yz = t[y * n + j]
+                    if yz >= 0:
+                        right = t[xb + yz]
+                        if right >= 0 and right != v:
+                            return False
+        for y in rng:                           # x(yz) = v: x = i, yz = j
+            xy = t[ib + y]
+            if xy >= 0:
                 yb = y * n
                 xyb = xy * n
                 for z in rng:
-                    yz = t[yb + z]
-                    if yz < 0:
-                        continue
-                    left = t[xyb + z]
-                    right = t[base + yz]
-                    if left >= 0 and right >= 0 and left != right:
-                        return False
+                    if t[yb + z] == j:
+                        left = t[xyb + z]
+                        if left >= 0 and left != v:
+                            return False
         return True
 
     def fill(cell):

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -89,6 +90,37 @@ def test_is_associative_matches_brute_force_n2():
             t.rows[t.rows[x][y]][z] == t.rows[x][t.rows[y][z]]
             for x in range(2) for y in range(2) for z in range(2))
         assert is_associative(t) == brute
+
+
+def brute_first_failure(t):
+    """The lexicographically first (x, y, z) with (xy)z != x(yz), or None."""
+    r = t.rows
+    rng = range(t.n)
+    return next(((x, y, z) for x in rng for y in rng for z in rng
+                 if r[r[x][y]][z] != r[x][r[y][z]]), None)
+
+
+def test_associativity_failure_is_first_failing_triple():
+    # the CLI's "not associative: (x y) z != x (y z)" line prints this triple
+    rnd = random.Random(14)
+    one = CayleyTable(((0,),))
+    tables = [one, cyclic(5), cyclic(6)]
+    tables += [CayleyTable(tuple(tuple(rnd.randrange(n) for _ in range(n))
+                                 for _ in range(n)))
+               for n in range(1, 7) for _ in range(200)]
+    # one changed entry of an associative table: the first failure can lie
+    # anywhere in the scan, not only near (0, 0, 0)
+    for base in (*enumerate_semigroups(3), *[cyclic(5), cyclic(6)] * 40):
+        rows = [list(row) for row in base.rows]
+        n = base.n
+        x, y = rnd.randrange(n), rnd.randrange(n)
+        rows[x][y] = rnd.randrange(n)
+        tables.append(CayleyTable(tuple(map(tuple, rows))))
+    answers = [brute_first_failure(t) for t in tables]
+    assert None in answers and answers.count(None) < len(answers)
+    assert associativity_failure(one) is None
+    for t, want in zip(tables, answers):
+        assert associativity_failure(t) == want
 
 
 # -- laws -------------------------------------------------------------------
@@ -231,6 +263,55 @@ def test_enumerate_order3_matches_brute_filter():
     assert len(tables) == brute_count(3) == 113
     assert len(set(t.rows for t in tables)) == len(tables)
     assert all(is_associative(t) for t in tables)
+
+
+def full_rescan_semigroups(n):
+    """The enumerator as it stood before its incremental check: after each
+    cell it rescans every triple whose four products are decided."""
+    size = n * n
+    t = [-1] * size
+    rng = range(n)
+
+    def consistent():
+        for x in rng:
+            for y in rng:
+                xy = t[x * n + y]
+                if xy < 0:
+                    continue
+                for z in rng:
+                    yz = t[y * n + z]
+                    if yz < 0:
+                        continue
+                    left = t[xy * n + z]
+                    right = t[x * n + yz]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        return True
+
+    def fill(cell):
+        if cell == size:
+            yield tuple(tuple(t[i * n:(i + 1) * n]) for i in rng)
+            return
+        for v in rng:
+            t[cell] = v
+            if consistent():
+                yield from fill(cell + 1)
+        t[cell] = -1
+
+    yield from fill(0)
+
+
+def test_enumerate_in_lexicographic_order():
+    # row-major filling with ascending values lists the associative tables
+    # in the lexicographic order of their flattened entries
+    for n in (1, 2, 3):
+        brute = [rows for flat in product(range(n), repeat=n * n)
+                 for rows in [tuple(tuple(flat[i * n:(i + 1) * n])
+                                    for i in range(n))]
+                 if brute_first_failure(CayleyTable(rows)) is None]
+        assert [t.rows for t in enumerate_semigroups(n)] == brute
+    assert ([t.rows for t in enumerate_semigroups(4)]
+            == list(full_rescan_semigroups(4)))
 
 
 def test_enumerate_rejects_large_orders():
