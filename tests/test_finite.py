@@ -103,8 +103,8 @@ def brute_first_failure(t):
 def test_associativity_failure_is_first_failing_triple():
     # the CLI's "not associative: (x y) z != x (y z)" line prints this triple
     rnd = random.Random(14)
-    one = CayleyTable(((0,),))
-    tables = [one, cyclic(5), cyclic(6)]
+    # at order 1 the scan's itemgetter returns an entry, not a row
+    tables = [CayleyTable(((0,),)), cyclic(5), cyclic(6)]
     tables += [CayleyTable(tuple(tuple(rnd.randrange(n) for _ in range(n))
                                  for _ in range(n)))
                for n in range(1, 7) for _ in range(200)]
@@ -118,7 +118,6 @@ def test_associativity_failure_is_first_failing_triple():
         tables.append(CayleyTable(tuple(map(tuple, rows))))
     answers = [brute_first_failure(t) for t in tables]
     assert None in answers and answers.count(None) < len(answers)
-    assert associativity_failure(one) is None
     for t, want in zip(tables, answers):
         assert associativity_failure(t) == want
 
@@ -266,8 +265,8 @@ def test_enumerate_order3_matches_brute_filter():
 
 
 def full_rescan_semigroups(n):
-    """The enumerator as it stood before its incremental check: after each
-    cell it rescans every triple whose four products are decided."""
+    """Reference enumerator: after each cell it rescans every triple whose
+    four products are decided, not only those that read the new cell."""
     size = n * n
     t = [-1] * size
     rng = range(n)
@@ -305,9 +304,9 @@ def test_enumerate_in_lexicographic_order():
     # row-major filling with ascending values lists the associative tables
     # in the lexicographic order of their flattened entries
     for n in (1, 2, 3):
-        brute = [rows for flat in product(range(n), repeat=n * n)
-                 for rows in [tuple(tuple(flat[i * n:(i + 1) * n])
-                                    for i in range(n))]
+        every = [tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+                 for flat in product(range(n), repeat=n * n)]
+        brute = [rows for rows in every
                  if brute_first_failure(CayleyTable(rows)) is None]
         assert [t.rows for t in enumerate_semigroups(n)] == brute
     assert ([t.rows for t in enumerate_semigroups(4)]
