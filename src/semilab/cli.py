@@ -245,7 +245,7 @@ def _cmd_malcev(args):
 
 
 def _cmd_rank1(args):
-    u = rank1_universe(args.n, args.p, cap=args.cap)
+    u = rank1_universe(args.n, args.p)
     orders = sorted({g[3] for g in u.groups})
     return u.to_json(), [
         f"elements: {len(u.elements)}   idempotents: {len(u.idempotents)}   "
@@ -310,8 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
               "the rank <= 1 matrix semigroup over GF(p)")
     sp.add_argument("--n", type=int, required=True, help="matrix dimension")
     sp.add_argument("--p", type=int, required=True, help="field prime")
-    sp.add_argument("--cap", type=int, default=512,
-                    help="largest universe to enumerate")
 
     sp = verb("enumerate", _cmd_enumerate,
               "all associative tables of one order")

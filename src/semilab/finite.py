@@ -40,8 +40,9 @@ class CayleyTable:
             if len(row) != n:
                 raise TableError("table must be square")
             for v in row:
-                if not (isinstance(v, int) and 0 <= v < n):
-                    raise TableError(f"entry {v!r} out of range [0, {n})")
+                # not isinstance: bool is an int subclass, yet no entry
+                if not (type(v) is int and 0 <= v < n):
+                    raise TableError(f"entry {v!r} is not an int in [0, {n})")
 
     @property
     def n(self) -> int:
@@ -69,8 +70,11 @@ class CayleyTable:
             rows = obj["table"]
         except (TypeError, KeyError):
             raise TableError('table JSON needs fields "n" and "table"') from None
-        if len(rows) != n:
-            raise TableError(f'"table" must have {n} rows')
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise TableError('"table" must be a list of lists')
+        if type(n) is not int or len(rows) != n:
+            raise TableError(f'"n" is {n!r}, but "table" has {len(rows)} rows')
         return CayleyTable(tuple(tuple(row) for row in rows))
 
 

@@ -228,6 +228,7 @@ def parse_presentation_text(text: str) -> Presentation:
     alpha = None        # the alphabet's Presentation, once its line is read
     relations = []
     kind = PLAIN
+    kind_lineno = 1     # only the kind's own checks can fail after the loop
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -240,6 +241,7 @@ def parse_presentation_text(text: str) -> Presentation:
                 alpha = _alphabet(line[len("letters:"):].split())
             elif line.startswith("kind:"):
                 kind = line[len("kind:"):].strip()
+                kind_lineno = lineno
                 if kind not in _KINDS:
                     raise PresentationError(f"unknown kind {kind!r}")
             elif line.startswith("rel:"):
@@ -262,7 +264,7 @@ def parse_presentation_text(text: str) -> Presentation:
         return Presentation(alpha.names, alpha.alphabet, tuple(relations),
                             kind)
     except PresentationError as exc:
-        raise ParseError(1, str(exc)) from None
+        raise ParseError(kind_lineno, str(exc)) from None
 
 
 def _alphabet(tokens) -> Presentation:

@@ -25,9 +25,8 @@ class MatrixError(ValueError):
     pass
 
 
-# rank1_universe refuses tables with more cells than this before it builds
-# any element: 2048 elements a side, about 32 MiB of row tuples
-MAX_TABLE_CELLS = 2048 * 2048
+# the most nonzero matrices rank1_universe builds: bounds its memory and time
+MAX_MATRICES = 512
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ def canonical_directions(field, n: int):
     return out
 
 
-def rank1_universe(n: int, p: int, cap: int = 512) -> Rank1Universe:
+def rank1_universe(n: int, p: int) -> Rank1Universe:
     """Enumerate the whole rank <= 1 semigroup over GF(p), tabulate it, and
     locate its idempotents and maximal subgroups.
 
@@ -263,15 +262,10 @@ def rank1_universe(n: int, p: int, cap: int = 512) -> Rank1Universe:
         raise MatrixError("dimension must be at least 1")
     field = GF(p)
     count = (p ** n - 1) // (p - 1) * (p ** n - 1)
-    if count > cap:
+    if count > MAX_MATRICES:
         raise MatrixError(
             f"{count} nonzero rank-1 matrices over GF({p})^{{{n}x{n}}} "
-            f"exceeds the cap of {cap}")
-    if (count + 1) ** 2 > MAX_TABLE_CELLS:
-        raise MatrixError(
-            f"the table of {count + 1} rank <= 1 matrices over "
-            f"GF({p})^{{{n}x{n}}} needs {(count + 1) ** 2} cells, over the "
-            f"bound of {MAX_TABLE_CELLS}")
+            f"exceeds the cap of {MAX_MATRICES}")
     dirs = canonical_directions(field, n)
     nonzero_rows = [v for v in iproduct(field.elements(), repeat=n)
                     if not is_zero_vector(field, v)]

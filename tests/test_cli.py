@@ -227,6 +227,13 @@ def test_non_associative_table_exit2(tmp_path, capsys):
 
 def test_bad_params_exit2(tmp_path, capsys):
     files = {"bad.json": "not json", "no-table.json": '{"n": 2}',
+             "int-table.json": '{"n": 2, "table": 5}',
+             "flat.json": '{"n": 2, "table": [1, 2]}',
+             "null-row.json": '{"n": 1, "table": [null]}',
+             # bool is an int subclass in Python, but not a table entry
+             "bool-entries.json":
+                 '{"n": 2, "table": [[false, true], [true, false]]}',
+             "bool-n.json": '{"n": true, "table": [[0]]}',
              "bad.pres": "letters: a b\nrel: a c = b\n",
              "barred.pres": "letters: a a'\nrel: a a' = 1\n",
              "ext.pres": "letters: a a'\nkind: group-completion\n"
@@ -258,6 +265,20 @@ def test_bad_params_exit2(tmp_path, capsys):
             (["malcev", f["no-table.json"]],
              f"error: {f['no-table.json']}: table JSON needs fields \"n\" "
              "and \"table\"\n"),
+            (["laws", f["int-table.json"]],
+             f"error: {f['int-table.json']}: \"table\" must be a list of "
+             "lists\n"),
+            (["malcev", f["flat.json"]],
+             f"error: {f['flat.json']}: \"table\" must be a list of lists\n"),
+            (["laws", f["null-row.json"]],
+             f"error: {f['null-row.json']}: \"table\" must be a list of "
+             "lists\n"),
+            (["malcev", f["bool-entries.json"]],
+             f"error: {f['bool-entries.json']}: entry False is not an int "
+             "in [0, 2)\n"),
+            (["laws", f["bool-n.json"]],
+             f"error: {f['bool-n.json']}: \"n\" is True, but \"table\" has "
+             "1 rows\n"),
             (["kb", f["bad.pres"]],
              f"error: {f['bad.pres']}: line 2: unknown letter 'c'\n"),
             (["build-gm", f["barred.pres"]],
@@ -294,13 +315,14 @@ def test_bad_params_exit2(tmp_path, capsys):
 
 
 def test_rank1_cell_bound_exit2(capsys):
-    # 19,495 elements fit the raised cap but not the table's cell bound,
-    # which is checked before any element is built
+    # 19,494 nonzero matrices are over the bound, which is checked before
+    # any matrix is built
     start = time.perf_counter()
-    assert main(["rank1", "--n", "3", "--p", "7", "--cap", "100000"]) \
-        == EXIT_INPUT
+    assert main(["rank1", "--n", "3", "--p", "7"]) == EXIT_INPUT
     assert time.perf_counter() - start < 0.5
-    assert "cells" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: 19494 nonzero rank-1 matrices over GF(7)^{3x3} exceeds the "
+        "cap of 512\n")
 
 
 def test_probe_rejects_extension_input(tmp_path, capsys):
@@ -323,7 +345,7 @@ VERB_OPTIONS = {
     "probe": {"-h", "--help", "presentation", "--max-len", "--budget",
               "--max-rules", "--max-rule-len", "--out"},
     "malcev": {"-h", "--help", "table", "--out"},
-    "rank1": {"-h", "--help", "--n", "--p", "--cap", "--out"},
+    "rank1": {"-h", "--help", "--n", "--p", "--out"},
     "enumerate": {"-h", "--help", "--order", "--tables", "--out"},
 }
 

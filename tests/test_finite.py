@@ -27,6 +27,16 @@ def test_table_validation():
         CayleyTable(((0, 1), (0,)))
     with pytest.raises(TableError):
         CayleyTable(((0, 2), (0, 1)))
+    with pytest.raises(TableError):
+        CayleyTable(((False, True), (True, False)))
+    with pytest.raises(TableError):
+        CayleyTable(((0, 1), (1, 0.0)))
+    for obj in ({"n": 2, "table": 5}, {"n": 2, "table": [1, 2]},
+                {"n": 1, "table": [None]}, {"n": 1, "table": [(0,)]},
+                {"n": 2, "table": [[False, True], [True, False]]},
+                {"n": True, "table": [[0]]}, {"n": 1.0, "table": [[0]]}):
+        with pytest.raises(TableError):
+            CayleyTable.from_json(obj)
 
 
 def test_table_json_round_trip():

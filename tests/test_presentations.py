@@ -135,6 +135,10 @@ def test_parse_comments_and_blanks():
     ("letters: a a", 1, "duplicate letter"),
     ("letters: a\nfrobnicate", 2, "unrecognized"),
     ("", 1, "missing letters"),
+    ("letters:", 1, "empty letters line"),
+    ("letters: a\nrel: a' = a", 2, "unknown letter \"a'\""),
+    ("# Z\nletters: a a'\nkind: group-completion\nrel: a a' = 1", 3,
+     "missing the inverse relation for 'a'"),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(ParseError) as exc:

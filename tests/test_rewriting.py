@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from semilab.presentations import EMPTY, parse_presentation_text, build_gm
 from semilab.embedding import probe_embedding
 from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
-                               UNKNOWN, DerivationStep, RewriteSystem,
-                               RewritingError, critical_pairs,
+                               UNKNOWN, DerivationCertificate, DerivationStep,
+                               RewriteSystem, RewritingError, critical_pairs,
                                derivation_certificate, derive_equal,
                                enumerate_elements, equal_words, kb_complete,
                                reduce, reduce_with_trace, replay_derivation,
@@ -324,6 +324,16 @@ def test_derive_equal_insertion_steps():
     assert v.value == EQUAL and replay_derivation(Z2, v.certificate)
     v = derive_equal(Z2, Z2.word("a a a"), Z2.word("a"))
     assert v.value == EQUAL and replay_derivation(Z2, v.certificate)
+
+
+def test_derive_equal_same_word():
+    gm = build_gm(QUAD)
+    w = gm.word("u c")
+    v = derive_equal(gm, w, w)
+    assert v.value == EQUAL
+    assert v.certificate == DerivationCertificate((w,), ())
+    assert replay_derivation(gm, v.certificate)
+    assert v.spent["visited"] == 2
 
 
 def test_derive_equal_budget_unknown():
