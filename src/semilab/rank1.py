@@ -8,8 +8,8 @@ zero matrix is the pair (None, None) and absorbs products.
 For a column direction a and row direction b with pairing b . a != 0, the
 set {lam * a b^T : lam != 0} is a group isomorphic to the multiplicative
 group of the field, with identity (b . a)^{-1} a b^T; gab_group builds it
-and checks the axioms and the isomorphism exhaustively, so it is restricted
-to finite fields.
+and checks the multiplication rule behind the isomorphism exhaustively, so
+it is restricted to finite fields.
 """
 
 from __future__ import annotations
@@ -184,32 +184,19 @@ def gab_group(field, a, b) -> GabGroup:
     if len(set(elements)) != len(elements):
         raise MatrixError("group elements are not distinct")
     index = {m: k for k, m in enumerate(elements)}
-    s_inv = field.inv(s)
-    identity_index = index[make_rank1(field, a, scale(field, s_inv, b))]
 
     # closure plus the full multiplication rule  m_lam m_mu = m_{lam mu s},
-    # which is exactly multiplicativity of phi(m_lam) = lam s
+    # which is exactly multiplicativity of phi(m_lam) = lam s; it already
+    # gives the identity m_{1/s} and the inverse m_{1/(lam s^2)} of m_lam,
+    # and lam -> lam s is onto F* for any nonzero s
     for lam, m1 in zip(scalars, elements):
         for mu, m2 in zip(scalars, elements):
             prod = multiply(m1, m2)
             expect = field.mul(field.mul(lam, mu), s)
             if index.get(prod) is None or scalars[index[prod]] != expect:
                 raise MatrixError("products left the candidate group")
-    e = elements[identity_index]
-    for m in elements:
-        if multiply(e, m) != m or multiply(m, e) != m:
-            raise MatrixError("identity check failed")
-        # lam^{-1} s^{-2} is the scalar of the inverse
-        lam = scalars[index[m]]
-        minv = elements[index[make_rank1(
-            field, a, scale(field, field.mul(field.inv(lam),
-                                             field.mul(s_inv, s_inv)), b))]]
-        if multiply(m, minv) != e or multiply(minv, m) != e:
-            raise MatrixError("inverse check failed")
-    images = {field.mul(lam, s) for lam in scalars}
-    if images != set(field.nonzero()):
-        raise MatrixError("scalar map is not onto F*")
-    return GabGroup(field, len(a), a, b, s, scalars, elements, identity_index)
+    return GabGroup(field, len(a), a, b, s, scalars, elements,
+                    scalars.index(field.inv(s)))
 
 
 @dataclass(frozen=True)
@@ -257,15 +244,16 @@ def rank1_universe(n: int, p: int) -> Rank1Universe:
     1 + i * R + j is (dirs[i], nonzero_rows[j]), with R nonzero rows, and
     the product of (c1, r1) and (c2, r2) is zero or (c1, lam * r2) with
     lam = r1 . c2, so each table row is a concatenation of precomputed
-    index runs, one per direction c2."""
+    index runs, one per direction c2.  Each group is checked on that table."""
     if n < 1:
         raise MatrixError("dimension must be at least 1")
-    field = GF(p)
-    count = (p ** n - 1) // (p - 1) * (p ** n - 1)
+    # counted before GF(p)'s trial division; GF itself refuses p < 2
+    count = (p ** n - 1) // (p - 1) * (p ** n - 1) if p > 1 else 0
     if count > MAX_MATRICES:
         raise MatrixError(
             f"{count} nonzero rank-1 matrices over GF({p})^{{{n}x{n}}} "
             f"exceeds the cap of {MAX_MATRICES}")
+    field = GF(p)
     dirs = canonical_directions(field, n)
     nonzero_rows = [v for v in iproduct(field.elements(), repeat=n)
                     if not is_zero_vector(field, v)]
@@ -292,12 +280,20 @@ def rank1_universe(n: int, p: int) -> Rank1Universe:
     idempotents = tuple(k for k in range(len(elements))
                         if table.rows[k][k] == k)
     groups = []
-    for a in dirs:
+    for i, a in enumerate(dirs):
         for b in dirs:
             s = pairing(field, a, b)
             if s == field.zero:
                 continue
-            g = gab_group(field, a, b)
-            groups.append((a, b, s, g.order))
+            # h[lam - 1] is m_lam = (a, lam b); check m_lam m_mu = m_{lam mu s}
+            h = [1 + i * width + run[row_index[b]] for run in scaled]
+            if len(set(h)) != len(h):
+                raise MatrixError("group elements are not distinct")
+            for lam, x in enumerate(h, 1):
+                row = rows[x]
+                for mu, y in enumerate(h, 1):
+                    if row[y] != h[lam * mu * s % p - 1]:
+                        raise MatrixError("products left the candidate group")
+            groups.append((a, b, s, len(h)))
     return Rank1Universe(field, n, tuple(elements), table, idempotents,
                          tuple(groups))

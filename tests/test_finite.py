@@ -242,6 +242,12 @@ def test_decompose_rejects_left_zero_naming_unsolvable_pair():
         decompose_right_group(LEFT_ZERO2)
     assert exc.value.law == "right-unlimited"
     assert exc.value.pair == (0, 1)
+    # x y = -x - y mod 3 is a quasigroup, so every equation is solvable,
+    # but it is not associative
+    quasi = CayleyTable(((0, 2, 1), (2, 1, 0), (1, 0, 2)))
+    assert not is_associative(quasi)
+    with pytest.raises(TableError, match="requires an associative table"):
+        decompose_right_group(quasi)
 
 
 def test_right_zero_itself_is_a_right_group():

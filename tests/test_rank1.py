@@ -272,8 +272,25 @@ def test_universe_cap():
         rank1_universe(2, 31)
 
 
-@pytest.mark.parametrize("n,p", [(1, 5), (1, 11), (2, 2), (2, 3), (2, 5),
-                                 (3, 2), (3, 3)])
+def test_universe_size_is_checked_before_primality(monkeypatch):
+    # p < 2 is left to GF, whose messages stay as they were
+    for p in (0, 1):
+        with pytest.raises(FieldError, match=f"^{p} is not prime$"):
+            rank1_universe(2, p)
+    # the count is arithmetic, so an oversized p, prime or not, is refused
+    # without the trial division GF(p) would run
+    def no_field(p):
+        raise AssertionError("GF called before the size check")
+    monkeypatch.setattr("semilab.rank1.GF", no_field)
+    for p in (100000000000031, 1000):
+        with pytest.raises(MatrixError, match="exceeds the cap of 512$"):
+            rank1_universe(1, p)
+
+
+UNIVERSES = [(1, 5), (1, 11), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n,p", UNIVERSES)
 def test_universe_table_matches_multiply(n, p):
     # the table is built by index arithmetic; multiply is the reference
     u = rank1_universe(n, p)
@@ -286,3 +303,29 @@ def test_universe_json_shape():
     assert j["element_count"] == 10
     assert j["elements"][0] == {"zero": True}
     assert len(j["table"]["table"]) == 10
+
+
+@pytest.mark.parametrize("n,p", UNIVERSES)
+def test_universe_groups_match_gab_group(n, p):
+    # the universe checks each group on its own table; gab_group, which
+    # multiplies matrix objects, is the reference
+    u = rank1_universe(n, p)
+    index = {m: k for k, m in enumerate(u.elements)}
+    for a, b, s, order in u.groups:
+        g = gab_group(u.field, a, b)
+        assert (g.pairing, g.order) == (s, order)
+        h = [index[m] for m in g.elements]
+        for x, m1 in zip(h, g.elements):
+            for y, m2 in zip(h, g.elements):
+                z = u.table.rows[x][y]
+                assert z in h and u.elements[z] == multiply(m1, m2)
+
+
+def test_universe_group_check_uses_its_own_pairing(monkeypatch):
+    # the table's scalars and the pairing the group check expects are
+    # computed apart, so a wrong pairing (2s, nonzero exactly when s is)
+    # cannot pass
+    monkeypatch.setattr("semilab.rank1.pairing",
+                        lambda field, a, b: F5.mul(2, pairing(field, a, b)))
+    with pytest.raises(MatrixError, match="products left the candidate group"):
+        rank1_universe(2, 5)

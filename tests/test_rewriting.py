@@ -8,7 +8,8 @@ from semilab.presentations import EMPTY, parse_presentation_text, build_gm
 from semilab.embedding import probe_embedding
 from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
                                UNKNOWN, DerivationCertificate, DerivationStep,
-                               RewriteSystem, RewritingError, critical_pairs,
+                               RewriteSystem, RewritingError, Rule,
+                               critical_pairs,
                                derivation_certificate, derive_equal,
                                enumerate_elements, equal_words, kb_complete,
                                reduce, reduce_with_trace, replay_derivation,
@@ -138,8 +139,24 @@ def test_critical_pairs_match_brute_force():
     systems = [kb_complete(p) for p in CORPUS + A8_CORPUS]
     systems += [kb_complete(p, **budgets)
                 for p, budgets, _, _ in GOLDEN_EXHAUSTED]
+    # completion interreduces, so only a hand-built system has a lhs that
+    # contains another
+    systems.append(RewriteSystem(IDEM, (
+        Rule(IDEM.word("a a"), IDEM.word("a")),
+        Rule(IDEM.word("a a a"), IDEM.word("a"))), CONFLUENT))
     for rs in systems:
         assert sorted(critical_pairs(rs)) == brute_critical_pairs(rs)
+
+
+def test_verify_confluence_reports_unresolved_pairs():
+    # stopped at its budget, completion leaves pairs that do not resolve
+    rs = kb_complete(B3, max_rules=5)
+    bad = verify_confluence(rs)
+    assert len(bad) == 6
+    overlaps = {w for w, _, _ in critical_pairs(rs)}
+    for w, na, nb in bad:
+        assert w in overlaps and na != nb
+        assert reduce(na, rs) == na and reduce(nb, rs) == nb
 
 
 def assert_interreduced(rs):
