@@ -247,7 +247,14 @@ def rank1_universe(n: int, p: int) -> Rank1Universe:
     index runs, one per direction c2.  Each group is checked on that table."""
     if n < 1:
         raise MatrixError("dimension must be at least 1")
-    # counted before GF(p)'s trial division; GF itself refuses p < 2
+    # refused before GF(p)'s trial division; GF itself refuses p < 2.  Any
+    # p >= 2 gives at least p - 1 matrices, and (2**5 - 1)**2 = 961 when
+    # n >= 5, so those are refused before p ** n, which can have more
+    # digits than an int may print
+    if p > MAX_MATRICES + 1 or (n >= 5 and p > 1):
+        raise MatrixError(
+            f"the count of nonzero rank-1 matrices over GF({p})^{{{n}x{n}}} "
+            f"exceeds the cap of {MAX_MATRICES}")
     count = (p ** n - 1) // (p - 1) * (p ** n - 1) if p > 1 else 0
     if count > MAX_MATRICES:
         raise MatrixError(

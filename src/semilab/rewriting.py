@@ -23,7 +23,9 @@ so string order is letter order and every presentation packs a letter the
 same way.  One reduction engine, ``_reduce``, rewrites such strings:
 completion reduces with it, keeping each trace as a proof, and
 ``reduce_with_trace`` traces with it, so both apply rules in the same sweep
-order.  One overlap generator, ``_overlap_results``, serves completion and
+order.  Between rule changes completion hands it a memo of the sweeps it has
+already run, so a sweep repeated from the same string is looked up, not
+redone.  One overlap generator, ``_overlap_results``, serves completion and
 ``critical_pairs``.  One enumeration, ``_irreducible_strings``, lists a
 confluent system's normal forms packed; ``enumerate_elements`` decodes it,
 and ``collapsed_normal_forms`` groups it under another system's rules.
@@ -138,25 +140,37 @@ class RewriteSystem:
                      for k, r in enumerate(self.rules))
 
 
-def _reduce(s, rules):
+def _reduce(s, rules, memo=None):
     """Rewrite ``s`` with ``rules``, (lhs, rhs, key) triples in order, until
     no lhs occurs.  Each sweep takes the rules in turn and replaces every
     occurrence of a lhs, left to right and without overlaps (``str.replace``);
     sweeps repeat until one changes nothing.  Returns the reduced string and
     the applied parts (key, offset, True), in order, each offset into the
-    string as the parts before it left it."""
+    string as the parts before it left it.
+
+    ``memo``, when given, maps a string at the start of a sweep to the
+    string that sweep leaves and the parts it applied; looked-up sweeps are
+    not run again, so the result is the same as without it.  Pass one only
+    while ``rules`` stays the same: it is keyed by string alone."""
     parts = []
     while True:
-        t = s
-        for l, r, key in rules:
-            if l not in t:
-                continue
-            pos, shift, grow = t.find(l), 0, len(r) - len(l)
-            while pos != -1:
-                parts.append((key, pos + shift, True))
-                shift += grow
-                pos = t.find(l, pos + len(l))
-            t = t.replace(l, r)
+        hit = memo.get(s) if memo is not None else None
+        if hit is None:
+            t, sweep = s, []
+            for l, r, key in rules:
+                if l not in t:
+                    continue
+                pos, shift, grow = t.find(l), 0, len(r) - len(l)
+                while pos != -1:
+                    sweep.append((key, pos + shift, True))
+                    shift += grow
+                    pos = t.find(l, pos + len(l))
+                t = t.replace(l, r)
+            if memo is not None:
+                memo[s] = (t, sweep)
+        else:
+            t, sweep = hit
+        parts += sweep
         if t == s:
             return s, parts
         s = t
@@ -192,7 +206,9 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     Every rule version completion makes gets a proof, kept on
     ``provenance`` as it is made: the traces of the reductions that
     produced the rule, around the equation it was oriented from (see
-    ``_Provenance``).
+    ``_Provenance``).  Pending equations are reduced through one sweep memo
+    (``_reduce``'s ``memo``), cleared just before each change to the rules,
+    so the sweeps, traces and proofs are those of plain ``_reduce``.
     """
     if max_rules <= 0 or max_len <= 0:
         raise RewritingError("completion budgets must be positive")
@@ -204,13 +220,14 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     tasks = deque()     # rule-index pairs whose overlaps are unexamined
     pending = deque()   # (a, b, parts): equations and the proofs of a = b
     prov = _Provenance()
+    sweeps = {}         # _reduce's memo, valid while ``rules`` is unchanged
 
     def process_pending():
         nonlocal n_added, budget_hit
         while pending:
             a, b, eq = pending.popleft()
-            ra, trace_a = _reduce(a, rules.values())
-            rb, trace_b = _reduce(b, rules.values())
+            ra, trace_a = _reduce(a, rules.values(), sweeps)
+            rb, trace_b = _reduce(b, rules.values(), sweeps)
             oriented = _orient(ra, rb)
             if oriented is None:
                 continue
@@ -225,6 +242,7 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 trace_a, trace_b, eq = trace_b, trace_a, _reversed(eq)
             k = n_added
             n_added += 1
+            sweeps.clear()
             older = list(rules.items())
             rules[k] = (l, r, prov.add(_reversed(trace_a) + eq + trace_b))
             for i, (li, ri, vi) in older:

@@ -325,6 +325,18 @@ def test_rank1_cell_bound_exit2(capsys):
         "cap of 512\n")
 
 
+@pytest.mark.parametrize("n", ["10000", "3000000"])
+def test_rank1_huge_dimension_exit2(capsys, n):
+    # the count has more digits than an int may print, so it is refused
+    # without being computed or named
+    assert main(["rank1", "--n", n, "--p", "2"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the count of nonzero rank-1 matrices over GF(2)^{{{n}x{n}}} "
+        "exceeds the cap of 512\n")
+
+
 def test_probe_rejects_extension_input(tmp_path, capsys):
     path = tmp_path / "ext.pres"
     path.write_text("letters: a a'\nkind: group-completion\n"

@@ -2,7 +2,7 @@ import hashlib
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semilab.presentations import EMPTY, parse_presentation_text, build_gm
 from semilab.embedding import probe_embedding
@@ -14,7 +14,7 @@ from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
                                enumerate_elements, equal_words, kb_complete,
                                reduce, reduce_with_trace, replay_derivation,
                                rule_derivation, shortlex_less,
-                               verify_confluence)
+                               verify_confluence, _enc, _reduce)
 
 
 def pres(text):
@@ -436,6 +436,29 @@ def test_kb_budget_exhausted_rule_lists_golden(p, budgets, count, digest):
     assert rule_list_digest(rs) == digest
     assert_interreduced(rs)
     assert_rules_replay(rs)
+
+
+MEMO_SYSTEMS = [kb_complete(p) for p in CORPUS] + \
+    [kb_complete(p, **budgets) for p, budgets, _, _ in GOLDEN_EXHAUSTED]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_reduce_memo_matches_plain_reduce(data):
+    # completion reduces through a sweep memo; looked-up sweeps must give
+    # the words and parts that running them again gives
+    rs = data.draw(st.sampled_from(MEMO_SYSTEMS))
+    rules = rs._enc_rules
+    strings = data.draw(st.lists(
+        st.text(alphabet=_enc(rs.source.alphabet), max_size=14),
+        min_size=1, max_size=10))
+    memo = {}
+    cold = [_reduce(s, rules, memo) for s in strings]
+    assert cold == [_reduce(s, rules) for s in strings]
+    warm = [_reduce(s, rules, memo) for s in strings]
+    assert warm == cold
+    stored = {id(sweep) for _, sweep in memo.values()}
+    assert not any(id(parts) in stored for _, parts in cold + warm)
 
 
 @given(st.sampled_from(A8_CORPUS + [FREEGRP2, Z2, B3]),
