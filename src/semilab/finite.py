@@ -56,9 +56,7 @@ class CayleyTable:
         return self.rows[i][j]
 
     def transpose(self) -> "CayleyTable":
-        n = self.n
-        return CayleyTable(tuple(tuple(self.rows[j][i] for j in range(n))
-                                 for i in range(n)))
+        return CayleyTable(tuple(zip(*self.rows)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "table": [list(row) for row in self.rows]}
@@ -179,14 +177,16 @@ class LawReport:
 
 
 def _solution_counts(t: CayleyTable) -> tuple:
-    """counts[a][b] = #{X : X a = b}, filled in one pass over the table.
-    On ``t.transpose()`` it counts the solutions of a X = b instead."""
+    """(left, right) with left[a][b] = #{X : X a = b} and right[a][b] =
+    #{X : a X = b}, both filled in one pass over the table."""
     n = t.n
-    counts = [[0] * n for _ in range(n)]
-    for row in t.rows:
+    left = [[0] * n for _ in range(n)]
+    right = [[0] * n for _ in range(n)]
+    for row, counts in zip(t.rows, right):
         for a, b in enumerate(row):
-            counts[a][b] += 1
-    return tuple(map(tuple, counts))
+            left[a][b] += 1
+            counts[b] += 1
+    return tuple(map(tuple, left)), tuple(map(tuple, right))
 
 
 def check_laws(t: CayleyTable) -> LawReport:
@@ -194,8 +194,7 @@ def check_laws(t: CayleyTable) -> LawReport:
     no equation has two solutions, solvable that none has zero."""
     if not is_associative(t):
         raise TableError("check_laws requires an associative table")
-    left = _solution_counts(t)
-    right = _solution_counts(t.transpose())
+    left, right = _solution_counts(t)
     return LawReport(
         max(map(max, left), default=0) <= 1,
         max(map(max, right), default=0) <= 1, left, right,
@@ -255,7 +254,7 @@ def decompose_right_group(t: CayleyTable) -> RightGroupDecomposition:
         raise TableError("decompose_right_group requires an associative table")
     # each row of counts sums to n, so with no count 0 every count is 1:
     # a X = b always solvable already gives ax = ay implies x = y
-    for a, row in enumerate(_solution_counts(t.transpose())):
+    for a, row in enumerate(_solution_counts(t)[1]):
         if 0 in row:
             b = row.index(0)
             raise DecompositionError(

@@ -250,11 +250,15 @@ def rank1_universe(n: int, p: int) -> Rank1Universe:
     # refused before GF(p)'s trial division; GF itself refuses p < 2.  Any
     # p >= 2 gives at least p - 1 matrices, and (2**5 - 1)**2 = 961 when
     # n >= 5, so those are refused before p ** n, which can have more
-    # digits than an int may print
+    # digits than an int may print; so can p and n, and then they are not
+    # named
     if p > MAX_MATRICES + 1 or (n >= 5 and p > 1):
-        raise MatrixError(
-            f"the count of nonzero rank-1 matrices over GF({p})^{{{n}x{n}}} "
-            f"exceeds the cap of {MAX_MATRICES}")
+        try:
+            where = f" over GF({p})^{{{n}x{n}}}"
+        except ValueError:
+            where = ""
+        raise MatrixError(f"the count of nonzero rank-1 matrices{where} "
+                          f"exceeds the cap of {MAX_MATRICES}")
     count = (p ** n - 1) // (p - 1) * (p ** n - 1) if p > 1 else 0
     if count > MAX_MATRICES:
         raise MatrixError(

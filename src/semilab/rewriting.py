@@ -29,12 +29,10 @@ redone.  One overlap generator, ``_overlap_results``, serves completion and
 ``critical_pairs``.  One enumeration, ``_irreducible_strings``, lists a
 confluent system's normal forms packed; ``enumerate_elements`` decodes it,
 and ``collapsed_normal_forms`` groups it under another system's rules.
-That grouping tries only the rules that can fire: a rule whose lhs needs a
-letter that neither the words nor any rhs reachable from them contain never
-matches, and when each rule left contains a lhs of the first system, none
-matches a normal form, so no word is reduced at all.  Both filters drop
-only rules that would fail their match test, so the groups are exactly
-those under all of the other system's rules.
+That grouping tries only the rules whose lhs is over the first system's
+letters, when their rhs are too, so that no rewrite leaves those letters,
+and all rules otherwise; when each kept lhs contains a lhs of the first
+system, no word is reduced at all.
 """
 
 from __future__ import annotations
@@ -359,24 +357,6 @@ def enumerate_elements(rs: RewriteSystem, max_len: int):
     return list(map(_dec, _irreducible_strings(rs, max_len)))
 
 
-def _rules_that_can_fire(rs: RewriteSystem, other: RewriteSystem) -> tuple:
-    """The rules of ``other``, in order and with their keys, that can fire
-    while a word over ``rs``'s letters is reduced: those whose lhs uses only
-    letters reachable from ``rs``'s alphabet, where a rule whose lhs uses
-    only reachable letters makes its rhs letters reachable too.  Any other
-    rule needs a letter that no such reduction can produce."""
-    reached = set(_enc(rs.source.alphabet))
-    grew = True
-    while grew:
-        grew = False
-        for l, r, _ in other._enc_rules:
-            if reached.issuperset(l) and not reached.issuperset(r):
-                reached.update(r)
-                grew = True
-    return tuple(rule for rule in other._enc_rules
-                 if reached.issuperset(rule[0]))
-
-
 def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,
                            max_len: int):
     """The normal forms of the confluent ``rs`` of length <= max_len,
@@ -386,20 +366,24 @@ def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,
     order of their first members.  Only those groups are decoded.  The
     embedding probe calls it with M's and G(M)'s systems.
 
-    Two filters leave every group as reducing under all of ``other``'s
-    rules would.  A rule whose lhs needs a letter that can never appear
-    fails its ``in`` test on every sweep, so only the rules that can fire
-    are tried (``_rules_that_can_fire``).  And a normal form of ``rs``
-    contains no lhs of ``rs``: when each of those rules' lhs contains one,
-    none matches a normal form, so every normal form is its own irreducible
-    form and its own group, and the normal forms are only counted.  That
-    test is all or nothing, since once one rule fires, any of them may.
-    Each group keeps only its first member until a second one arrives."""
-    rules = _rules_that_can_fire(rs, other)
+    Only a rule whose lhs is over ``rs``'s letters can match a word over
+    them.  A normal form of ``rs`` contains no lhs of ``rs``: when each such
+    rule's lhs contains one, none matches a normal form, so every normal
+    form is its own irreducible form and its own group, and the normal forms
+    are only counted.  Otherwise, when each such rule's rhs is over
+    ``rs``'s letters too, every rewrite keeps the word over them, so no
+    other rule ever matches and only these are tried; when some rhs is not,
+    all of ``other``'s rules are.  Each group keeps only its first member
+    until a second one arrives."""
+    letters = set(_enc(rs.source.alphabet))
+    rules = tuple(rule for rule in other._enc_rules
+                  if letters.issuperset(rule[0]))
     lhss = [l for l, _, _ in rs._enc_rules]
     if all(any(m in l for m in lhss) for l, _, _ in rules):
         n = sum(1 for _ in _irreducible_strings(rs, max_len))
         return n, n, []
+    if not all(letters.issuperset(r) for _, r, _ in rules):
+        rules = other._enc_rules
     first = {}
     groups = {}
     n = 0

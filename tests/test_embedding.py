@@ -176,7 +176,8 @@ def word_level_probe(p, max_len, max_rules=rewriting.DEFAULT_MAX_RULES,
 def test_probe_matches_word_level_reference():
     # no rule of G(M) can fire on a normal form of FREE2, FREE3 (no rule
     # kept), TRACE or COMM2 (only M's own rules kept); QUAD, QUAD_E and
-    # ABSORB are bucketed under the rules that can fire
+    # ABSORB are bucketed under G(M)'s rules over M's letters, or all of
+    # them when some such rule's rhs leaves M's letters
     for p, max_len in ((QUAD, 3), (QUAD, 4), (TRACE, 6), (COMM2, 5),
                        (QUAD_E, 3), (FREE2, 5), (FREE3, 4), (ABSORB, 4)):
         rep = probe_embedding(p, max_len)
@@ -214,24 +215,29 @@ def test_collapsed_normal_forms_match_word_level_reference(
         == word_level_probe(p, max_len, max_rules, 6)
 
 
-def test_rules_that_can_fire_counts():
-    # (input, G(M) rules, rules kept, whether one can fire on a normal form)
-    for name, total, kept, fires in (("trace-abcd", 16, 2, False),
-                                     ("quadruple", 40, 4, True),
-                                     ("free-abc", 6, 0, False)):
+def test_collapsed_normal_forms_rules_tried():
+    # (input, G(M) rules, rules each reduction tries, or 0 when the normal
+    # forms are only counted); some of quadruple-e's rules over M's letters
+    # have a rhs outside them, so all of G(M)'s rules are tried
+    for name, total, tried in (("trace-abcd", 16, 0), ("quadruple", 40, 4),
+                               ("free-abc", 6, 0), ("quadruple-e", 487, 487)):
         p = parse_presentation_file(INPUTS / f"{name}.pres")
         rs_m, rs_g = kb_complete(p), kb_complete(build_gm(p))
         assert len(rs_g.rules) == total
-        assert len(rewriting._rules_that_can_fire(rs_m, rs_g)) == kept
         calls = []
 
-        def counting_reduce(s, rules, _reduce=rewriting._reduce):
-            calls.append(s)
+        def recording_reduce(s, rules, _reduce=rewriting._reduce):
+            calls.append(rules)
             return _reduce(s, rules)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rewriting, "_reduce", counting_reduce)
+            mp.setattr(rewriting, "_reduce", recording_reduce)
             n = collapsed_normal_forms(rs_m, rs_g, 3)[0]
-        assert len(calls) == (n if fires else 0)
+        assert len(calls) == (n if tried else 0)
+        assert all(len(rules) == tried for rules in calls)
+        if tried == 4:
+            m_letters = set(rewriting._enc(p.alphabet))
+            assert all(m_letters.issuperset(l + r)
+                       for l, r, _ in calls[0])
 
 
 def test_collapsed_groups_in_order_of_first_members():

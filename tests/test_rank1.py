@@ -287,6 +287,15 @@ def test_universe_size_is_checked_before_primality(monkeypatch):
             rank1_universe(1, p)
 
 
+def test_universe_unprintable_size_is_refused():
+    # a p or an n with more digits than an int may print is not named
+    for n, p in ((2, 10**5000), (10**5000, 2)):
+        with pytest.raises(MatrixError, match=(
+                "^the count of nonzero rank-1 matrices exceeds the cap of "
+                "512$")):
+            rank1_universe(n, p)
+
+
 UNIVERSES = [(1, 5), (1, 11), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
 
 
