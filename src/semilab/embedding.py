@@ -2,13 +2,15 @@
 
 A monoid M embeds in its two-sided group of fractions only if distinct
 elements of M stay distinct there.  The probe completes M to get normal
-forms, builds the group extension G(M) and completes it too, enumerates
-every element of M up to a length bound, and asks which pairs of distinct
-M-elements become equal in G(M).  A pair that collapses is a witness that no
-embedding exists; the probe reports it together with replayable evidence.
-The comparison is one rewriting call, ``collapsed_normal_forms``: it buckets
-M's normal forms by their irreducible form under G(M)'s rules, whether or
-not G(M)'s completion finished, and returns the colliding buckets as words.
+forms, builds the group extension G(M) and completes it too, and asks
+which pairs of distinct M-elements up to a length bound become equal in
+G(M).  A pair that collapses is a witness that no embedding exists; the
+probe reports it together with replayable evidence.  The comparison is one
+rewriting call, ``collapsed_normal_forms``: it buckets M's normal forms by
+their irreducible form under G(M)'s rules, whether or not G(M)'s completion
+finished, and returns the colliding buckets as words.  When no G(M) rule
+can match a normal form of M, the normal forms are only counted, with a
+word acceptor, and none is listed.
 
 check_malcev_condition runs the classical quadruple test on a finite table:
   x a = y b,  x c = y d,  u a = v b   must force   u c = v d
@@ -27,7 +29,8 @@ from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentati
 # rewriting calls by this module's names
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, EQUAL, DerivationCertificate,
-                        NormalFormCertificate, collapsed_normal_forms,
+                        NormalFormCertificate, RewritingError,
+                        collapsed_normal_forms,
                         derivation_certificate, derive_equal,
                         enumerate_elements, kb_complete,
                         reduce,  # noqa: F401
@@ -112,7 +115,8 @@ def probe_embedding(p: Presentation, max_len: int,
 
     Needs a confluent completion of M itself (otherwise there is no element
     list to compare) and raises ProbeError when the rule budget cannot
-    deliver one.  Elements are bucketed by their irreducible form under
+    deliver one, or when M's elements up to max_len number more than an int
+    may print.  Elements are bucketed by their irreducible form under
     G(M)'s rules, complete or not, and each colliding pair's derivation is
     built from the completion record, capped at ``budget`` steps.  Only
     when G(M) did not complete and no bucket collided does the probe
@@ -146,8 +150,11 @@ def probe_embedding(p: Presentation, max_len: int,
         "certificate_steps": 0,
         "derivations_over_budget": 0,
     }
-    n, spent["buckets"], colliding = collapsed_normal_forms(rs_m, rs_g,
-                                                            max_len)
+    try:
+        n, spent["buckets"], colliding = collapsed_normal_forms(rs_m, rs_g,
+                                                                max_len)
+    except RewritingError as exc:   # a count too long to print
+        raise ProbeError(str(exc)) from None
     traced = {u: reduce_with_trace(u, rs_g)
               for members in colliding for u in members}
     # shortlex order of u, then of v: a bucket lists its members in

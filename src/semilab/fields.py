@@ -30,7 +30,12 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
+            # a p with more digits than an int may print is not named
+            try:
+                message = f"{p} is not prime"
+            except ValueError:
+                message = "the field size is not prime"
+            raise FieldError(message)
         self.p = p
 
     def coerce(self, x) -> int:

@@ -31,12 +31,14 @@ confluent system's normal forms packed; ``enumerate_elements`` decodes it,
 and ``collapsed_normal_forms`` groups it under another system's rules.
 That grouping tries only the rules whose lhs is over the first system's
 letters, when their rhs are too, so that no rewrite leaves those letters,
-and all rules otherwise; when each kept lhs contains a lhs of the first
-system, no word is reduced at all.
+and all rules otherwise.  When each kept lhs contains a lhs of the first
+system, no rule can match a normal form, and the normal forms are counted
+by length with a word acceptor, ``_normal_form_counts``, which lists none.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -350,6 +352,52 @@ def _irreducible_strings(rs: RewriteSystem, max_len: int):
         level = nxt
 
 
+def _normal_form_counts(rs: RewriteSystem, max_len: int):
+    """The number of normal forms of the confluent ``rs`` of each length
+    0, 1, ..., max_len in turn, counted without listing a word.  It stops
+    at the first length with none, as every prefix of a normal form is one.
+
+    The counts come from a word acceptor (Epstein et al., *Word Processing
+    in Groups*; Sims, *Computation with Finitely Presented Groups* §3.5).
+    The state after an irreducible word is its longest suffix that is a
+    proper prefix of some lhs.  Reading a letter leads nowhere when some
+    suffix of state + letter is a lhs, and otherwise to the longest suffix
+    of state + letter that is such a prefix.  Each level maps a state to
+    the number of words that end in it; a state's next states are found
+    the first time it is reached."""
+    if rs.status != CONFLUENT:
+        raise RewritingError("element counting requires a confluent system")
+    lhss = frozenset(l for l, _, _ in rs._enc_rules)
+    lens = sorted({len(l) for l in lhss})
+    prefixes = {l[:k] for l in lhss for k in range(len(l))} | {""}
+    chars = sorted(_enc(rs.source.alphabet))
+    rows = {}
+
+    def row(q):
+        out = []
+        for ch in chars:
+            t = q + ch
+            if not any(t[-k:] in lhss for k in lens):
+                out.append(next(t[i:] for i in range(len(t) + 1)
+                                if t[i:] in prefixes))
+        return out
+
+    level = {"": 1}
+    yield 1
+    for _ in range(max_len):
+        nxt = {}
+        for q, count in level.items():
+            r = rows.get(q)
+            if r is None:
+                r = rows[q] = row(q)
+            for s in r:
+                nxt[s] = nxt.get(s, 0) + count
+        if not nxt:
+            return
+        yield sum(nxt.values())
+        level = nxt
+
+
 def enumerate_elements(rs: RewriteSystem, max_len: int):
     """All irreducible words of length <= max_len, in shortlex order; each is
     the canonical representative of a distinct element.  Requires a confluent
@@ -369,18 +417,30 @@ def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,
     Only a rule whose lhs is over ``rs``'s letters can match a word over
     them.  A normal form of ``rs`` contains no lhs of ``rs``: when each such
     rule's lhs contains one, none matches a normal form, so every normal
-    form is its own irreducible form and its own group, and the normal forms
-    are only counted.  Otherwise, when each such rule's rhs is over
-    ``rs``'s letters too, every rewrite keeps the word over them, so no
-    other rule ever matches and only these are tried; when some rhs is not,
-    all of ``other``'s rules are.  Each group keeps only its first member
-    until a second one arrives."""
+    form is its own irreducible form and its own group.  The normal forms
+    are then counted by length with ``_normal_form_counts``, and none is
+    listed; a count with more digits than an int may print raises
+    RewritingError as soon as it gets there.  Otherwise, when each such
+    rule's rhs is over ``rs``'s letters too, every rewrite keeps the word
+    over them, so no other rule ever matches and only these are tried; when
+    some rhs is not, all of ``other``'s rules are.  Each group keeps only
+    its first member until a second one arrives."""
     letters = set(_enc(rs.source.alphabet))
     rules = tuple(rule for rule in other._enc_rules
                   if letters.issuperset(rule[0]))
     lhss = [l for l, _, _ in rs._enc_rules]
     if all(any(m in l for m in lhss) for l, _, _ in rules):
-        n = sum(1 for _ in _irreducible_strings(rs, max_len))
+        # checked level by level, so a count that grows exponentially
+        # stops early; 0 digits means Python prints any int
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        cap = 10 ** digits if digits else float("inf")
+        n = 0
+        for count in _normal_form_counts(rs, max_len):
+            n += count
+            if n >= cap:
+                raise RewritingError(
+                    f"the count of normal forms has more than {digits} "
+                    "digits, too many to print")
         return n, n, []
     if not all(letters.issuperset(r) for _, r, _ in rules):
         rules = other._enc_rules

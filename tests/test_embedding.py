@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+import time
 from itertools import chain, islice, product
 from pathlib import Path
 
@@ -240,6 +244,18 @@ def test_collapsed_normal_forms_rules_tried():
                        for l, r, _ in calls[0])
 
 
+def test_collapsed_normal_forms_counts_without_listing(monkeypatch):
+    # no G(M) rule can match a normal form of trace-abcd or free-abc, so
+    # their normal forms are counted by the acceptor and none is listed
+    def no_listing(rs, max_len):
+        raise AssertionError("normal forms listed only to be counted")
+    monkeypatch.setattr(rewriting, "_irreducible_strings", no_listing)
+    for name, count in (("trace-abcd", 31519), ("free-abc", 9841)):
+        p = parse_presentation_file(INPUTS / f"{name}.pres")
+        rs_m, rs_g = kb_complete(p), kb_complete(build_gm(p))
+        assert collapsed_normal_forms(rs_m, rs_g, 8) == (count, count, [])
+
+
 def test_collapsed_groups_in_order_of_first_members():
     rs_m, rs_g = kb_complete(QUAD), kb_complete(build_gm(QUAD))
     groups = collapsed_normal_forms(rs_m, rs_g, 3)[2]
@@ -304,6 +320,47 @@ def test_probe_fallback_budget_is_global():
     assert rep.inconclusive_count == 105
     assert len(rep.inconclusive) == 20
     assert rep.inconclusive[0] == (FREE2.word("1"), FREE2.word("a"))
+
+
+def semilab_probe(name, max_len):
+    """``semilab probe`` run in a subprocess whose address space is capped
+    at 512 MiB (RLIMIT_AS), so a probe that lists too much fails fast."""
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run(
+        [sys.executable, "-m", "semilab", "probe", str(INPUTS / name),
+         "--max-len", str(max_len)],
+        capture_output=True, text=True, preexec_fn=cap_memory, timeout=60)
+
+
+def test_probe_free_monoid_length_15_in_bounded_memory():
+    # 21,523,360 elements: listed, they would take about 5.6 GB (by
+    # extrapolation from shorter lengths); counted, the run fits in the
+    # 512 MiB cap
+    start = time.perf_counter()
+    proc = semilab_probe("free-abc.pres", 15)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "no-collision-found"
+    assert report["element_count"] == 21_523_360
+
+
+def test_probe_count_too_long_to_print_exit2():
+    # free-abc's count passes 4,300 digits at about length 9,013; the
+    # probe stops counting there and refuses it, with no traceback
+    start = time.perf_counter()
+    proc = semilab_probe("free-abc.pres", 10_000)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {INPUTS / 'free-abc.pres'}: the count of normal forms has "
+        f"more than {sys.get_int_max_str_digits()} digits, too many to "
+        "print\n")
 
 
 def test_probe_base_budget_exhaustion():

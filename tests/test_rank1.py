@@ -296,6 +296,13 @@ def test_universe_unprintable_size_is_refused():
             rank1_universe(n, p)
 
 
+def test_field_unprintable_non_prime_is_refused():
+    # rank1_universe leaves p < 2 to GF, whose refusal does not name a p
+    # with more digits than an int may print
+    with pytest.raises(FieldError, match="^the field size is not prime$"):
+        rank1_universe(2, -10**5000)
+
+
 UNIVERSES = [(1, 5), (1, 11), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
 
 

@@ -1,8 +1,9 @@
 import hashlib
+from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from semilab.presentations import EMPTY, parse_presentation_text, build_gm
 from semilab.embedding import probe_embedding
@@ -14,7 +15,8 @@ from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
                                enumerate_elements, equal_words, kb_complete,
                                reduce, reduce_with_trace, replay_derivation,
                                rule_derivation, shortlex_less,
-                               verify_confluence, _enc, _reduce)
+                               verify_confluence, _enc,
+                               _normal_form_counts, _reduce)
 
 
 def pres(text):
@@ -34,6 +36,9 @@ B3 = pres("letters: a b\nrel: a b a = b a b")
 TRACE = pres("letters: a b c d\nrel: b a = a b\nrel: d c = c d")
 # Z3 x N: rules b a -> a b and a a a -> 1, two lhs lengths
 Z3N = pres("letters: a b\nrel: a a a = 1\nrel: b a = a b")
+
+# relation sides for random presentations: up to four letter ids each
+SIDES = st.lists(st.integers(0, 2), max_size=4)
 
 CORPUS = [FREE2, IDEM, FREEGRP1, FREEGRP2, COMM, QUAD, build_gm(QUAD),
           build_gm(COMM), Z2]
@@ -303,6 +308,49 @@ def test_enumerate_rejects_non_confluent():
     rs = kb_complete(FREEGRP2, max_rules=1)
     with pytest.raises(RewritingError):
         enumerate_elements(rs, 2)
+    with pytest.raises(RewritingError):
+        list(_normal_form_counts(rs, 2))
+
+
+def assert_counts_match_listing(rs, max_len):
+    # the acceptor's count at each length is the number of listed normal
+    # forms of that length, and it stops at the first length with none
+    counts = list(_normal_form_counts(rs, max_len))
+    listed = Counter(map(len, enumerate_elements(rs, max_len)))
+    assert counts == [listed[k] for k in range(len(counts))]
+    assert 0 not in counts and len(counts) <= max_len + 1
+    assert sum(counts) == sum(listed.values())
+
+
+def test_normal_form_counts_match_listing_corpus():
+    # up to length 6, or the longest length whose listing stays within
+    # 50,000 words: build_gm(QUAD) has 634,661 normal forms up to length 5
+    for p in CORPUS + A8_CORPUS:
+        rs = kb_complete(p)
+        assert rs.status == CONFLUENT
+        counts, max_len = list(_normal_form_counts(rs, 6)), 6
+        while sum(counts[:max_len + 1]) > 50_000:
+            max_len -= 1
+        assert max_len >= 4
+        assert_counts_match_listing(rs, max_len)
+    # two lhs lengths; a finite monoid's counts stop at its longest word
+    assert_counts_match_listing(kb_complete(Z3N), 8)
+    assert list(_normal_form_counts(kb_complete(Z2), 6)) == [1, 1]
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3), st.lists(st.tuples(SIDES, SIDES), min_size=1,
+                                   max_size=3),
+       st.integers(1, 5))
+def test_normal_form_counts_match_listing_random(n_letters, relations,
+                                                 max_len):
+    def side(ids):
+        return " ".join("abc"[i % n_letters] for i in ids) or "1"
+    p = pres(f"letters: {side(range(n_letters))}\n" + "".join(
+        f"rel: {side(l)} = {side(r)}\n" for l, r in relations))
+    rs = kb_complete(p, max_rules=20, max_len=8)
+    assume(rs.status == CONFLUENT)
+    assert_counts_match_listing(rs, max_len)
 
 
 # -- equality ---------------------------------------------------------------
