@@ -324,7 +324,7 @@ def assert_counts_match_listing(rs, max_len):
 
 def test_normal_form_counts_match_listing_corpus():
     # up to length 6, or the longest length whose listing stays within
-    # 50,000 words: build_gm(QUAD) has 634,661 normal forms up to length 5
+    # 50,000 words: build_gm(QUAD) has 634,061 normal forms up to length 5
     for p in CORPUS + A8_CORPUS:
         rs = kb_complete(p)
         assert rs.status == CONFLUENT
