@@ -115,22 +115,24 @@ def probe_embedding(p: Presentation, max_len: int,
 
     Needs a confluent completion of M itself (otherwise there is no element
     list to compare) and raises ProbeError when the rule budget cannot
-    deliver one, or when M's elements up to max_len number more than an int
-    may print.  Elements are bucketed by their irreducible form under
-    G(M)'s rules, complete or not, and each colliding pair's derivation is
-    built from the completion record, capped at ``budget`` steps.  Only
-    when G(M) did not complete and no bucket collided does the probe
-    search, pair by pair in order, for a relation chain, until one finds a
-    collision or the searches have visited ``budget`` words in all; each
-    search gets what the ones before it left.  With no collision found, all
-    n(n-1)/2 pairs are inconclusive: the report counts them and keeps the
-    first MAX_INCONCLUSIVE_KEPT.
+    deliver one, when M's elements up to max_len number more than an int
+    may print, or when ``budget`` is negative.  Elements are bucketed by
+    their irreducible form under G(M)'s rules, complete or not, and each
+    colliding pair's derivation is built from the completion record, capped
+    at ``budget`` steps.  Only when G(M) did not complete and no bucket
+    collided does the probe search, pair by pair in order, for a relation
+    chain, until one finds a collision or the searches have visited
+    ``budget`` words in all; each search gets what the ones before it left.
+    With no collision found, all n(n-1)/2 pairs are inconclusive: the report
+    counts them and keeps the first MAX_INCONCLUSIVE_KEPT.
     """
     if p.kind != PLAIN:
         raise ProbeError("probe expects a plain monoid presentation, not an "
                          "already-extended one")
     if max_len < 1:
         raise ProbeError("probe length must be at least 1")
+    if budget < 0:
+        raise ProbeError("probe budget must not be negative")
     rs_m = kb_complete(p, max_rules=max_rules, max_len=max_rule_len)
     if rs_m.status != CONFLUENT:
         raise ProbeError(

@@ -119,8 +119,9 @@ def _scan_associativity(t: CayleyTable):
     """Compare, for each (x, y), the row z -> (xy)z, which is rows[xy], with
     the row z -> x(yz), which ``itemgetter(*rows[y])`` reads out of rows[x]
     in C.  Equal rows have no failing z, so the Python z-loop runs only where
-    they differ: at the first failing (x, y), to name its first z.  At n = 1 itemgetter returns an entry, not a row, so the
-    comparison always differs there and the z-loop alone decides."""
+    they differ: at the first failing (x, y), to name its first z.  At n = 1
+    itemgetter returns an entry, not a row, so the comparison always differs
+    there and the z-loop alone decides."""
     rows = t.rows
     n = t.n
     rng = range(n)

@@ -26,14 +26,13 @@ completion reduces with it, keeping each trace as a proof, and
 order.  Between rule changes completion hands it a memo of the sweeps it has
 already run, so a sweep repeated from the same string is looked up, not
 redone.  One overlap generator, ``_overlap_results``, serves completion and
-``critical_pairs``.  One enumeration, ``_irreducible_strings``, lists a
-confluent system's normal forms packed; ``enumerate_elements`` decodes it,
-and ``collapsed_normal_forms`` groups it under another system's rules.
-That grouping tries only the rules whose lhs is over the first system's
-letters, when their rhs are too, so that no rewrite leaves those letters,
-and all rules otherwise.  When each kept lhs contains a lhs of the first
-system, no rule can match a normal form, and the normal forms are counted
-by length with a word acceptor, ``_normal_form_counts``, which lists none.
+``critical_pairs``.  One word acceptor, ``_Acceptor``, tells which words
+are a confluent system's normal forms, and two walks read it:
+``_irreducible_strings`` lists them packed, in shortlex order, and
+``_normal_form_counts`` counts them by length without listing one.
+``enumerate_elements`` decodes the listing; ``collapsed_normal_forms``
+groups it under another system's rules, or takes the counts when none of
+the rules it tries can match a normal form.
 """
 
 from __future__ import annotations
@@ -325,72 +324,68 @@ def verify_confluence(rs: RewriteSystem):
     return bad
 
 
+class _Acceptor(dict):
+    """The word acceptor of the confluent ``rs``'s packed normal forms
+    (Epstein et al., *Word Processing in Groups*; Sims, *Computation with
+    Finitely Presented Groups* §3.5).  A normal form's state is its longest
+    suffix that is a proper prefix of some lhs.  A lhs that ends in the
+    letter read next starts inside the state, so the letter leads nowhere
+    when some suffix of state + letter is a lhs, and otherwise to the
+    longest suffix of state + letter that is such a prefix.  A state's row,
+    its (letter, next state) pairs in letter order, is built the first time
+    the state is indexed."""
+
+    def __init__(self, rs: RewriteSystem):
+        if rs.status != CONFLUENT:
+            raise RewritingError(
+                "element enumeration requires a confluent system")
+        self.lhss = lhss = frozenset(l for l, _, _ in rs._enc_rules)
+        self.prefixes = {""} | {l[:k] for l in lhss for k in range(len(l))}
+        self.chars = sorted(_enc(rs.source.alphabet))
+
+    def __missing__(self, q):
+        row = self[q] = []
+        for ch in self.chars:
+            suffixes = [(q + ch)[i:] for i in range(len(q) + 2)]
+            if self.lhss.isdisjoint(suffixes):
+                row.append((ch, next(filter(self.prefixes.__contains__,
+                                            suffixes))))
+        return row
+
+
 def _irreducible_strings(rs: RewriteSystem, max_len: int):
-    """The irreducible words of length <= max_len as packed strings, in
-    shortlex order, built level by level.  A word w + ch with w irreducible
-    is irreducible unless a lhs is a suffix of it, so each candidate costs
-    one set lookup per distinct lhs length.  Requires a confluent system,
-    whose irreducible words are exactly its normal forms."""
-    if rs.status != CONFLUENT:
-        raise RewritingError("element enumeration requires a confluent system")
-    lhss = frozenset(l for l, _, _ in rs._enc_rules)
-    lens = sorted({len(l) for l in lhss})
-    chars = sorted(_enc(rs.source.alphabet))
-    level = [""]
+    """The normal forms of the confluent ``rs`` of length <= max_len as
+    packed strings, in shortlex order, read off ``_Acceptor`` level by
+    level: each word is kept with its state, in a parallel list, and
+    extended by the letters of that state's row, in letter order."""
+    rows = _Acceptor(rs)
+    words, states = [""], [""]
     yield ""
     for _ in range(max_len):
-        nxt = []
-        for w in level:
-            for ch in chars:
-                t = w + ch
-                for k in lens:
-                    if t[-k:] in lhss:
-                        break
-                else:
-                    nxt.append(t)
-        yield from nxt
-        level = nxt
+        next_words, next_states = [], []
+        for w, q in zip(words, states):
+            for ch, s in rows[q]:
+                next_words.append(w + ch)
+                next_states.append(s)
+        if not next_words:
+            return
+        yield from next_words
+        words, states = next_words, next_states
 
 
 def _normal_form_counts(rs: RewriteSystem, max_len: int):
     """The number of normal forms of the confluent ``rs`` of each length
-    0, 1, ..., max_len in turn, counted without listing a word.  It stops
-    at the first length with none, as every prefix of a normal form is one.
-
-    The counts come from a word acceptor (Epstein et al., *Word Processing
-    in Groups*; Sims, *Computation with Finitely Presented Groups* §3.5).
-    The state after an irreducible word is its longest suffix that is a
-    proper prefix of some lhs.  Reading a letter leads nowhere when some
-    suffix of state + letter is a lhs, and otherwise to the longest suffix
-    of state + letter that is such a prefix.  Each level maps a state to
-    the number of words that end in it; a state's next states are found
-    the first time it is reached."""
-    if rs.status != CONFLUENT:
-        raise RewritingError("element counting requires a confluent system")
-    lhss = frozenset(l for l, _, _ in rs._enc_rules)
-    lens = sorted({len(l) for l in lhss})
-    prefixes = {l[:k] for l in lhss for k in range(len(l))} | {""}
-    chars = sorted(_enc(rs.source.alphabet))
-    rows = {}
-
-    def row(q):
-        out = []
-        for ch in chars:
-            t = q + ch
-            if not any(t[-k:] in lhss for k in lens):
-                out.append(next(t[i:] for i in range(len(t) + 1)
-                                if t[i:] in prefixes))
-        return out
-
+    0, 1, ..., max_len in turn, counted on the rows of ``_Acceptor``
+    without listing a word: each level maps a state to the number of words
+    that end in it.  It stops at the first length with none, as every
+    prefix of a normal form is one."""
+    rows = _Acceptor(rs)
     level = {"": 1}
     yield 1
     for _ in range(max_len):
         nxt = {}
         for q, count in level.items():
-            r = rows.get(q)
-            if r is None:
-                r = rows[q] = row(q)
-            for s in r:
+            for _, s in rows[q]:
                 nxt[s] = nxt.get(s, 0) + count
         if not nxt:
             return
@@ -418,13 +413,14 @@ def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,
     them.  A normal form of ``rs`` contains no lhs of ``rs``: when each such
     rule's lhs contains one, none matches a normal form, so every normal
     form is its own irreducible form and its own group.  The normal forms
-    are then counted by length with ``_normal_form_counts``, and none is
-    listed; a count with more digits than an int may print raises
-    RewritingError as soon as it gets there.  Otherwise, when each such
-    rule's rhs is over ``rs``'s letters too, every rewrite keeps the word
-    over them, so no other rule ever matches and only these are tried; when
-    some rhs is not, all of ``other``'s rules are.  Each group keeps only
-    its first member until a second one arrives."""
+    are then counted by length on the word acceptor's rows
+    (``_normal_form_counts``), and none is listed; a count with more digits
+    than an int may print raises RewritingError as soon as it gets there.
+    Otherwise they are listed off the same acceptor and grouped.  When each
+    such rule's rhs is over ``rs``'s letters too, every rewrite keeps the
+    word over them, so no other rule ever matches and only these are tried;
+    when some rhs is not, all of ``other``'s rules are.  Each group keeps
+    only its first member until a second one arrives."""
     letters = set(_enc(rs.source.alphabet))
     rules = tuple(rule for rule in other._enc_rules
                   if letters.issuperset(rule[0]))
@@ -502,6 +498,9 @@ def apply_derivation_step(p: Presentation, word: Word,
                           step: DerivationStep) -> Word:
     """The word after one relation application; raises if it does not fit,
     or if it names no relation of ``p`` or a position outside the word."""
+    # not isinstance: bool is an int subclass, yet True names no relation
+    if not (type(step.relation) is int and type(step.pos) is int):
+        raise RewritingError("derivation step indices must be ints")
     if not (0 <= step.relation < len(p.relations)
             and 0 <= step.pos <= len(word)):
         raise RewritingError("derivation step is out of range")

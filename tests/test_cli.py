@@ -190,6 +190,12 @@ def test_probe_fallback_budget_exit3(tmp_path, capsys):
     assert rep["inconclusive_count"] == 105
 
 
+def test_probe_negative_budget_exit2(quad, capsys):
+    assert main(["probe", quad, "--budget", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == \
+        f"error: {quad}: probe budget must not be negative\n"
+
+
 def test_probe_base_budget_exit3(tmp_path, capsys):
     path = tmp_path / "freegrp.pres"
     path.write_text(FREEGRP2_TEXT)

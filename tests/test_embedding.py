@@ -280,6 +280,15 @@ def test_probe_rejects_bad_length():
         probe_embedding(FREE2, 0)
 
 
+def test_probe_rejects_negative_budget():
+    with pytest.raises(ProbeError, match="budget must not be negative"):
+        probe_embedding(QUAD, 2, budget=-1)
+    # a zero budget is valid: every derivation is over it
+    rep = probe_embedding(QUAD, 2, budget=0)
+    assert rep.status == "collision"
+    assert rep.budget_spent["derivations_over_budget"] == len(rep.witnesses)
+
+
 def test_probe_certificate_budget():
     rep = probe_embedding(QUAD, 3)
     longest = max(len(w.derivation.steps) for w in rep.witnesses)

@@ -10,7 +10,7 @@ from semilab.embedding import probe_embedding
 from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
                                UNKNOWN, DerivationCertificate, DerivationStep,
                                RewriteSystem, RewritingError, Rule,
-                               critical_pairs,
+                               apply_derivation_step, critical_pairs,
                                derivation_certificate, derive_equal,
                                enumerate_elements, equal_words, kb_complete,
                                reduce, reduce_with_trace, replay_derivation,
@@ -351,6 +351,10 @@ def test_normal_form_counts_match_listing_random(n_letters, relations,
     rs = kb_complete(p, max_rules=20, max_len=8)
     assume(rs.status == CONFLUENT)
     assert_counts_match_listing(rs, max_len)
+    # the counts and the listing read one acceptor; the brute force shares
+    # none of its code
+    assert enumerate_elements(rs, max_len) == brute_irreducibles(p, rs,
+                                                                 max_len)
 
 
 # -- equality ---------------------------------------------------------------
@@ -448,6 +452,21 @@ def test_replay_rejects_tampered_certificates():
         assert not replay_derivation(Z2, bad)
     # no words at all
     assert not replay_derivation(Z2, type(cert)((), ()))
+
+
+def test_derivation_step_refuses_non_int_indices():
+    # bool is an int subclass: True would name relation 1 and False
+    # position 0, where b b = 1 fits, so the chain would replay
+    p = pres("letters: a b\nrel: a a = 1\nrel: b b = 1")
+    words = (p.word("b b"), EMPTY)
+    good = DerivationCertificate(words, (DerivationStep(1, 0, True),))
+    assert replay_derivation(p, good)
+    for step in (DerivationStep(True, 0, True), DerivationStep(1, False, True),
+                 DerivationStep(True, False, True),
+                 DerivationStep(1.0, 0, True)):
+        with pytest.raises(RewritingError, match="must be ints"):
+            apply_derivation_step(p, words[0], step)
+        assert not replay_derivation(p, DerivationCertificate(words, (step,)))
 
 
 # -- completion records -------------------------------------------------------
