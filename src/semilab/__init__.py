@@ -10,7 +10,7 @@ from .finite import (CayleyTable, DecompositionError, LawReport,
                      RightGroupDecomposition, TableError, check_laws, closure,
                      decompose_right_group, enumerate_semigroups,
                      identity_of, is_associative, is_group,
-                     table_from_product)
+                     semigroup_representatives, table_from_product)
 from .presentations import (EMPTY, GROUP_COMPLETION, PLAIN, Letter,
                             ParseError, Presentation, PresentationError,
                             Relation, bar_copy, build_gm, format_presentation,

@@ -2,6 +2,12 @@
 laws, group detection, right-group decomposition, and exhaustive generation
 of all small associative tables (the brute-force oracle for everything else).
 
+Generation is orderly: one backtracking search finds, for each isomorphism
+class, the table whose flattened entries are least among its conjugates
+(``semigroup_representatives``, orders up to 5).  The labelled tables
+(``enumerate_semigroups``, orders up to 4) are rebuilt from these by
+conjugating each with every permutation, deduplicating and sorting.
+
 Law naming follows the classical reversibility terminology, which is
 handedness-reversed relative to modern cancellativity; every report field is
 therefore documented by its literal equation schema.
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from operator import itemgetter
 
 
@@ -292,12 +299,62 @@ def decompose_right_group(t: CayleyTable) -> RightGroupDecomposition:
     return decomp
 
 
+def semigroup_representatives(n: int):
+    """Yield one associative table on n elements from each isomorphism class:
+    the one whose flattened entries are lexicographically least among its
+    conjugates sigma T sigma^-1, in lexicographic order.  This is orderly
+    generation (Distler, 2010): the search fills cells in row-major order
+    with associativity pruning, and drops a partial table as soon as some
+    conjugate is smaller on the cells decided in both, since then no
+    completion is least.  Hard cap n <= 5."""
+    if not 1 <= n <= 5:
+        raise TableError(
+            "semigroup_representatives supports orders 1 to 5 only")
+    for flat in _lex_least_tables(n):
+        yield _table_of(flat, n)
+
+
 def enumerate_semigroups(n: int):
     """Yield every associative table on n elements exactly once (raw, not up
-    to isomorphism), by backtracking with associativity pruning.  Hard cap
-    n <= 4."""
+    to isomorphism), in the lexicographic order of their flattened entries:
+    the conjugates sigma T sigma^-1 of the representatives T that
+    ``semigroup_representatives`` finds, over every permutation sigma,
+    deduplicated and sorted.  Hard cap n <= 4."""
     if not 1 <= n <= 4:
         raise TableError("enumerate_semigroups supports orders 1 to 4 only")
+    representatives = list(_lex_least_tables(n))
+    labelled = set(representatives)
+    # n = 1 has no permutation but the identity, so itemgetter always gets
+    # at least two cells and returns a tuple
+    for src, p in _conjugations(n):
+        cells = itemgetter(*src)
+        for flat in representatives:
+            labelled.add(tuple(map(p.__getitem__, cells(flat))))
+    for flat in sorted(labelled):
+        yield _table_of(flat, n)
+
+
+def _table_of(flat, n: int) -> CayleyTable:
+    return CayleyTable(tuple(flat[i:i + n] for i in range(0, n * n, n)))
+
+
+def _conjugations(n: int) -> list:
+    """(src, p) for each permutation p of range(n) other than the identity.
+    Cell (i, j) of the conjugate p T p^-1 holds p[T[p^-1 i][p^-1 j]], so on
+    flattened tables its cell c holds p[T[src[c]]]."""
+    identity = tuple(range(n))
+    out = []
+    for p in permutations(identity):
+        if p != identity:
+            q = sorted(identity, key=p.__getitem__)     # q = p^-1
+            out.append((tuple(qi * n + qj for qi in q for qj in q), p))
+    return out
+
+
+def _lex_least_tables(n: int):
+    """The one backtracking search: every flattened associative table on n
+    elements that is lexicographically least among its conjugates, in
+    lexicographic order."""
     size = n * n
     t = [-1] * size
     rng = range(n)
@@ -347,15 +404,38 @@ def enumerate_semigroups(n: int):
                             return False
         return True
 
-    def fill(cell):
+    def still_tied(cell, tied):
+        # tied holds (src, p, c) for each conjugate that equals t on cells
+        # 0..c-1, all decided in both.  Compare on from c up to the new cell:
+        # a conjugate larger at a cell decided in both stays larger in every
+        # completion and is dropped; one smaller rules the node out (None)
+        kept = []
+        for src, p, c in tied:
+            while c <= cell:
+                s = t[src[c]]
+                if s < 0:                       # undecided in the conjugate
+                    kept.append((src, p, c))
+                    break
+                s = p[s]
+                if s != t[c]:
+                    if s < t[c]:
+                        return None
+                    break
+                c += 1
+            else:
+                kept.append((src, p, c))
+        return kept
+
+    def fill(cell, tied):
         if cell == size:
-            yield CayleyTable(tuple(tuple(t[i * n + j] for j in rng)
-                                    for i in rng))
+            yield tuple(t)
             return
         for v in rng:
             t[cell] = v
             if consistent_after(cell):
-                yield from fill(cell + 1)
+                kept = still_tied(cell, tied)
+                if kept is not None:
+                    yield from fill(cell + 1, kept)
         t[cell] = -1
 
-    yield from fill(0)
+    yield from fill(0, [(src, p, 0) for src, p in _conjugations(n)])

@@ -497,10 +497,13 @@ class EqualityVerdict:
 def apply_derivation_step(p: Presentation, word: Word,
                           step: DerivationStep) -> Word:
     """The word after one relation application; raises if it does not fit,
-    or if it names no relation of ``p`` or a position outside the word."""
+    if it names no relation of ``p`` or a position outside the word, or if
+    its direction is not exactly a bool."""
     # not isinstance: bool is an int subclass, yet True names no relation
     if not (type(step.relation) is int and type(step.pos) is int):
         raise RewritingError("derivation step indices must be ints")
+    if type(step.forward) is not bool:
+        raise RewritingError("derivation step direction must be a bool")
     if not (0 <= step.relation < len(p.relations)
             and 0 <= step.pos <= len(word)):
         raise RewritingError("derivation step is out of range")

@@ -19,9 +19,15 @@ ACCEPTANCE_LINES = {
         "no inconclusive pairs",
     "test_a3_cancellative_is_group":
         "A3 every doubly cancellative table of order <= 4 is a group",
+    "test_a3_order5_cancellative_is_group":
+        "A3 the one doubly cancellative table among the 1915 order-5 "
+        "classes is a group (Z5)",
     "test_a4_right_group_decomposition":
         "A4 right-group tables of order <= 4 decompose and rebuild the "
         "table exactly",
+    "test_a4_order5_right_group_decomposition":
+        "A4 the two order-5 right groups (Z5, the right-zero band) "
+        "decompose and rebuild the table exactly",
     "test_a5_rank1_product_oracle":
         "A5 factored rank-1 products match dense multiplication "
         "(exhaustive F2/F3, 1000 random F5 and rationals)",
@@ -37,6 +43,9 @@ ACCEPTANCE_LINES = {
     "test_a9_malcev_scan":
         "A9 quadruple-condition scan clean on all cancellative tables "
         "<= 4; violation lists re-verify",
+    "test_a9_order5_malcev_scan":
+        "A9 quadruple-condition scan clean on the cancellative order-5 "
+        "class",
 }
 
 _results = {}

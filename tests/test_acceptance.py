@@ -12,7 +12,8 @@ from semilab.embedding import (check_malcev_condition, probe_embedding,
                                quadruple_presentation)
 from semilab.fields import GF, QQ
 from semilab.finite import (check_laws, decompose_right_group,
-                            enumerate_semigroups, is_associative, is_group)
+                            enumerate_semigroups, is_associative, is_group,
+                            semigroup_representatives)
 from semilab.presentations import build_gm, parse_presentation_text
 from semilab.rank1 import (canonical_directions, gab_group, make_rank1,
                            multiply, pairing, rank1_universe, to_dense)
@@ -27,6 +28,13 @@ COMM2 = parse_presentation_text("letters: a b\nrel: b a = a b")
 @pytest.fixture(scope="module")
 def small_semigroups():
     return {n: list(enumerate_semigroups(n)) for n in (1, 2, 3, 4)}
+
+
+@pytest.fixture(scope="module")
+def order5_representatives():
+    # one table per isomorphism class; each law below is invariant under
+    # renaming the elements, so one per class decides it for the class
+    return list(semigroup_representatives(5))
 
 
 def test_a1_quadruple_collision():
@@ -87,6 +95,29 @@ def test_a4_right_group_decomposition(small_semigroups):
                 assert is_group(d.group_part)
                 assert d.reconstructs(t)
     assert seen > 22           # at least the groups plus right-zero tables
+
+
+def test_a3_order5_cancellative_is_group(order5_representatives):
+    seen = []
+    for t in order5_representatives:
+        rep = check_laws(t)
+        if rep.left_unique and rep.right_unique:
+            seen.append(t)
+            assert is_group(t), t.rows
+    assert len(seen) == 1                     # Z5, the only group of order 5
+
+
+def test_a4_order5_right_group_decomposition(order5_representatives):
+    shapes = []
+    for t in order5_representatives:
+        rep = check_laws(t)
+        if rep.right_solvable and rep.right_unique:
+            d = decompose_right_group(t)
+            assert is_group(d.group_part)
+            assert d.reconstructs(t)
+            shapes.append((d.group_part.n, len(d.idempotents)))
+    # Z5 x {e} and {e} x the right-zero band on five elements
+    assert sorted(shapes) == [(1, 5), (5, 1)]
 
 
 def test_a5_rank1_product_oracle():
@@ -194,3 +225,13 @@ def test_a9_malcev_scan(small_semigroups):
             assert t.rows[u][c] != t.rows[v][d]
         violating_tables += bool(rep.violations)
     assert violating_tables > 0
+
+
+def test_a9_order5_malcev_scan(order5_representatives):
+    cancellative = 0
+    for t in order5_representatives:
+        rep = check_laws(t)
+        if rep.left_unique and rep.right_unique:
+            cancellative += 1
+            assert check_malcev_condition(t).violations == ()
+    assert cancellative == 1

@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -8,7 +9,7 @@ from semilab.finite import (CayleyTable, DecompositionError, TableError,
                             associativity_failure, check_laws, closure,
                             decompose_right_group, enumerate_semigroups,
                             identity_of, is_associative, is_group,
-                            table_from_product)
+                            semigroup_representatives, table_from_product)
 
 
 def cyclic(n):
@@ -334,3 +335,53 @@ def test_enumerate_rejects_large_orders():
         list(enumerate_semigroups(5))
     with pytest.raises(TableError):
         list(enumerate_semigroups(0))
+
+
+# -- representatives up to isomorphism ---------------------------------------
+
+def conjugate(rows, p):
+    """p T p^-1: x_i x_j = x_k becomes x_p(i) x_p(j) = x_p(k)."""
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, k in enumerate(row):
+            out[p[i]][p[j]] = p[k]
+    return tuple(map(tuple, out))
+
+
+def test_representative_counts_match_published_sequences():
+    # classes up to isomorphism (OEIS A027851), and the labelled tables
+    # they stand for, n!/|Aut T| each (OEIS A023814), with Aut T counted
+    # by brute force over every permutation
+    classes = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
+    labelled = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
+    for n in classes:
+        perms = list(permutations(range(n)))
+        reps = list(semigroup_representatives(n))
+        assert len(reps) == classes[n]
+        total = 0
+        for t in reps:
+            aut = sum(1 for p in perms if conjugate(t.rows, p) == t.rows)
+            total += factorial(n) // aut
+        assert total == labelled[n]
+
+
+def test_representatives_are_least_and_pairwise_non_isomorphic():
+    for n in (1, 2, 3, 4):
+        perms = list(permutations(range(n)))
+        reps = [t.rows for t in semigroup_representatives(n)]
+        assert reps == sorted(reps)
+        least = set()
+        for rows in reps:
+            assert brute_first_failure(CayleyTable(rows)) is None
+            # each is the least of its conjugates, so two isomorphic
+            # representatives would be one table
+            assert rows == min(conjugate(rows, p) for p in perms)
+            least.add(rows)
+        assert len(least) == len(reps)
+
+
+def test_representatives_reject_orders_outside_cap():
+    for n in (0, 6, 7):
+        with pytest.raises(TableError, match="orders 1 to 5 only"):
+            next(semigroup_representatives(n))

@@ -469,6 +469,19 @@ def test_derivation_step_refuses_non_int_indices():
         assert not replay_derivation(p, DerivationCertificate(words, (step,)))
 
 
+def test_derivation_step_refuses_non_bool_direction():
+    # any truthy value would read as forward: "no" would apply a a -> 1
+    p = pres("letters: a\nrel: a a = 1")
+    words = (p.word("a a"), EMPTY)
+    good = DerivationCertificate(words, (DerivationStep(0, 0, True),))
+    assert replay_derivation(p, good)
+    for forward in ("no", 1, 0, None, 1.0):
+        step = DerivationStep(0, 0, forward)
+        with pytest.raises(RewritingError, match="must be a bool"):
+            apply_derivation_step(p, words[0], step)
+        assert not replay_derivation(p, DerivationCertificate(words, (step,)))
+
+
 # -- completion records -------------------------------------------------------
 
 def rule_list_digest(rs):
