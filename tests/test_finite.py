@@ -370,15 +370,12 @@ def test_representatives_are_least_and_pairwise_non_isomorphic():
     for n in (1, 2, 3, 4):
         perms = list(permutations(range(n)))
         reps = [t.rows for t in semigroup_representatives(n)]
-        assert reps == sorted(reps)
-        least = set()
+        # strictly increasing, so distinct; and each is the least of its
+        # conjugates, so two isomorphic representatives would be one table
+        assert all(a < b for a, b in zip(reps, reps[1:]))
         for rows in reps:
             assert brute_first_failure(CayleyTable(rows)) is None
-            # each is the least of its conjugates, so two isomorphic
-            # representatives would be one table
             assert rows == min(conjugate(rows, p) for p in perms)
-            least.add(rows)
-        assert len(least) == len(reps)
 
 
 def test_representatives_reject_orders_outside_cap():
