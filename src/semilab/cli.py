@@ -13,12 +13,16 @@ Every verb emits one deterministic JSON report: to stdout, or to --out with
 a short summary on stdout instead.  A verb's handler returns the report,
 the summary lines and the exit code; ``main`` adds the verb's name and
 writes the report.  The report bytes are exactly those of
-``json.dumps(report, indent=2, sort_keys=True)`` plus a newline; ``_encode``
-writes them with the joins done in C.  Exit codes: 0 the analysis completed
-(finding a collision or a law failure is a completed analysis), 2 bad input
-or parameters (an --out path that cannot be written included), 3 a search
-budget ran out before the answer was settled (a partial report is still
-written).
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.  They are
+written as they are encoded: ``_parts`` yields the text a dict key or a
+slice of a list at a time, with the joins done in C, and a generator in the
+report is drawn only as its slice is written, so ``malcev`` never holds its
+violation list.  ``malcev`` refuses, before writing anything, a table with
+more than MAX_LISTED_VIOLATIONS violations.  Exit codes: 0 the analysis
+completed (finding a collision or a law failure is a completed analysis),
+2 bad input or parameters (an --out path that cannot be written and a
+malcev listing too large to write included), 3 a search budget ran out
+before the answer was settled (a partial report is still written).
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
+from types import GeneratorType
 
 from .embedding import ProbeError, check_malcev_condition, probe_embedding
 from .fields import FieldError
@@ -86,52 +91,57 @@ def _load_semigroup(path: str) -> CayleyTable:
 _SCALARS = {str: _encode_str, int: int.__repr__,
             bool: {True: "true", False: "false"}.__getitem__,
             type(None): lambda _: "null"}
-# a list is joined this many items at a time, so a long one never has all
-# its item strings alive next to the joined text
+# a list is drawn and joined this many items at a time, so a long one never
+# has all its item strings alive at once
 _SLICE = 4096
+# a malcev report lists every violation; past this many (about 850 MB of
+# report) it is refused before a byte is written
+MAX_LISTED_VIOLATIONS = 10_000_000
 
 
-def _encode(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with
-    ``indent`` the indentation of the line ``obj`` starts on.  With indent
-    set the json module runs its pure-Python encoder; here lists of scalars
-    and of equal-length int rows are joined in C, and json.dumps is called
-    only for what has no exact-type path (floats, int keys, subclasses)."""
+def _parts(obj, indent: str = ""):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` in consecutive parts,
+    with ``indent`` the indentation of the line ``obj`` starts on.  A dict
+    is written key by key.  A list, tuple or generator (written as a list)
+    is drawn ``_SLICE`` items at a time, and each slice is one part, joined
+    in C when its items share a fast path (see ``_encode_each``).  With
+    indent set the json module runs its pure-Python encoder, so json.dumps
+    is called only for what has no exact-type path (floats, int keys,
+    subclasses)."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
-        return scalar(obj)
+        yield scalar(obj)
+        return
     inner = indent + "  "
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
+    if kind is list or kind is tuple or kind is GeneratorType:
+        items = iter(obj)
         sep = ",\n" + inner
-        return _block([sep.join(_encode_each(obj[i:i + _SLICE], inner))
-                       for i in range(0, len(obj), _SLICE)], indent, "[]")
+        head = "[\n" + inner
+        while chunk := list(islice(items, _SLICE)):
+            yield head
+            yield sep.join(_encode_each(chunk, inner))
+            head = sep
+        # head is sep once an item is written
+        yield "\n" + indent + "]" if head is sep else "[]"
+        return
     if kind is dict and set(map(type, obj)) == {str}:
-        keys = sorted(obj)
-        return _block([_encode(obj[k], inner) for k in keys], indent, "{}",
-                      keys)
+        head = "{\n" + inner
+        for key in sorted(obj):
+            yield head + _encode_str(key) + ": "
+            yield from _parts(obj[key], inner)
+            head = ",\n" + inner
+        yield "\n" + indent + "}"
+        return
     # json.dumps escapes newlines inside strings, so every raw newline
     # starts a line that needs the outer indentation
     text = json.dumps(obj, indent=2, sort_keys=True)
-    return text.replace("\n", "\n" + indent)
+    yield text.replace("\n", "\n" + indent)
 
 
-def _block(items, indent: str, brackets: str, keys=None) -> str:
-    """A nonempty JSON array, or object with ``keys``, whose encoded
-    ``items`` go one per line, indented one step past ``indent``.  It is
-    one join over all the parts, so no item's text is copied twice."""
-    inner = indent + "  "
-    heads = [",\n" + inner] * len(items)
-    heads[0] = brackets[0] + "\n" + inner
-    if keys is not None:
-        heads = [h + _encode_str(k) + ": " for h, k in zip(heads, keys)]
-    parts = heads * 2
-    parts[0::2] = heads
-    parts[1::2] = items
-    parts.append("\n" + indent + brackets[1])
-    return "".join(parts)
+def _encode(obj, indent: str = "") -> str:
+    """The parts of ``obj`` joined: its json.dumps text, byte for byte."""
+    return "".join(_parts(obj, indent))
 
 
 def _encode_each(values, indent: str):
@@ -147,25 +157,27 @@ def _encode_each(values, indent: str):
             widths = set(map(len, values))
             if (len(widths) == 1
                     and set(map(type, chain.from_iterable(values))) == {int}):
-                row = _block(["%d"] * widths.pop(), indent, "[]")
+                sep = ",\n" + indent + "  "
+                row = ("[" + sep[1:] + sep.join(["%d"] * widths.pop())
+                       + "\n" + indent + "]")
                 return map(row.__mod__, map(tuple, values))
     return [_encode(v, indent) for v in values]
 
 
 def _emit(report: dict, summary, out_path):
-    body = _encode(report)
+    """Write the report as it is encoded, part by part, to ``out_path``
+    (then print the summary) or to stdout."""
+    parts = chain(_parts(report), ("\n",))
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(body)
-                fh.write("\n")
+                fh.writelines(parts)
         except OSError as exc:
             raise _InputError(f"{out_path}: {exc.strerror or exc}") from None
         for line in summary:
             print(line)
     else:
-        sys.stdout.write(body)
-        sys.stdout.write("\n")
+        sys.stdout.writelines(parts)
 
 
 # Each handler returns (report, summary lines, exit code).  The library
@@ -236,11 +248,18 @@ def _cmd_probe(args):
 def _cmd_malcev(args):
     t = _load_semigroup(args.table)
     rep = check_malcev_condition(t)
-    report = {"n": t.n, **rep.to_json()}
+    if rep.violation_count > MAX_LISTED_VIOLATIONS:
+        raise _InputError(
+            f"{args.table}: {rep.violation_count} violations of the quadruple "
+            f"condition, more than the {MAX_LISTED_VIOLATIONS} a report may "
+            "list")
+    # the violations are listed while the report is written
+    report = {"n": t.n, "systems_checked": rep.systems_checked,
+              "holds": rep.holds, "violations": rep.iter_violations()}
     summary = [f"holds: {rep.holds}   systems checked: {rep.systems_checked}"]
-    if rep.violations:
-        summary.append(f"violations: {len(rep.violations)}   first: "
-                       f"{rep.violations[0]}")
+    if not rep.holds:
+        summary.append(f"violations: {rep.violation_count}   first: "
+                       f"{next(rep.iter_violations())}")
     return report, summary, EXIT_OK
 
 

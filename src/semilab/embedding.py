@@ -15,24 +15,28 @@ word acceptor, and none is listed.
 check_malcev_condition runs the classical quadruple test on a finite table:
   x a = y b,  x c = y d,  u a = v b   must force   u c = v d
 in any group, so a violating 8-tuple rules out embeddability without ever
-building G(M).
+building G(M).  The scan counts the systems and the violations exactly and
+lists no tuple; its report lists them on demand, in lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, islice
+from operator import mul
 
 from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
-# reduce is unused here but stays bound: bench/spans.py traces the probe's
-# rewriting calls by this module's names
+# reduce and enumerate_elements are unused here but stay bound:
+# bench/spans.py traces the probe's rewriting calls by this module's names
 from .rewriting import (CONFLUENT, DEFAULT_EQ_BUDGET, DEFAULT_MAX_RULES,
                         DEFAULT_MAX_RULE_LEN, EQUAL, DerivationCertificate,
                         NormalFormCertificate, RewritingError,
                         collapsed_normal_forms,
                         derivation_certificate, derive_equal,
-                        enumerate_elements, kb_complete,
+                        enumerate_elements,  # noqa: F401
+                        iter_elements, kb_complete,
                         reduce,  # noqa: F401
                         reduce_with_trace, traces_derivation)
 
@@ -123,8 +127,9 @@ def probe_embedding(p: Presentation, max_len: int,
     collided does the probe search, pair by pair in order, for a relation
     chain, until one finds a collision or the searches have visited
     ``budget`` words in all; each search gets what the ones before it left.
-    With no collision found, all n(n-1)/2 pairs are inconclusive: the report
-    counts them and keeps the first MAX_INCONCLUSIVE_KEPT.
+    The elements are drawn one by one as the pairs reach them.  With no
+    collision found, all n(n-1)/2 pairs are inconclusive: the report counts
+    them and keeps the first MAX_INCONCLUSIVE_KEPT.
     """
     if p.kind != PLAIN:
         raise ProbeError("probe expects a plain monoid presentation, not an "
@@ -185,8 +190,7 @@ def probe_embedding(p: Presentation, max_len: int,
         # every bucket is one element, so the pairs not yet apart are all
         # of them; a search runs on each in order until one finds a chain
         # or the searches have visited budget words in all
-        elements = enumerate_elements(rs_m, max_len)
-        for u, v in combinations(elements, 2):
+        for u, v in _pairs(iter_elements(rs_m, max_len)):
             left = budget - spent["words_visited"]
             if left < 2:    # a search visits its two end words first
                 break
@@ -202,7 +206,7 @@ def probe_embedding(p: Presentation, max_len: int,
             # a search never answers distinct, so with no collision every
             # pair stays unsettled
             inconclusive_count = n * (n - 1) // 2
-            inconclusive = tuple(islice(combinations(elements, 2),
+            inconclusive = tuple(islice(_pairs(iter_elements(rs_m, max_len)),
                                         MAX_INCONCLUSIVE_KEPT))
     if witnesses:
         status = "collision"
@@ -212,6 +216,20 @@ def probe_embedding(p: Presentation, max_len: int,
         status = "no-collision-found"
     return EmbeddingReport(p, gm, status, max_len, n, tuple(witnesses),
                            inconclusive, inconclusive_count, spent)
+
+
+def _pairs(words):
+    """``combinations(words, 2)``, in the same order, for an iterator
+    ``words`` that is drawn only as far as the pairs taken need: the first
+    word pairs with each later one as it is drawn, and only then do the
+    later words pair among themselves."""
+    words = iter(words)
+    rest = []
+    for u in islice(words, 1):
+        for v in words:
+            rest.append(v)
+            yield u, v
+    yield from combinations(rest, 2)
 
 
 # The three-relation monoid below satisfies no group law forcing u c = v d,
@@ -232,49 +250,68 @@ def quadruple_presentation() -> Presentation:
 
 @dataclass(frozen=True)
 class MalcevReport:
-    """Outcome of the quadruple condition on one finite table."""
+    """Outcome of the quadruple condition on one finite table: the exact
+    counts, and P_ab = {(x, y) : x a = y b} for each (a, b), from which
+    ``iter_violations`` lists the violating tuples when drawn."""
 
     systems_checked: int
-    violations: tuple    # 8-tuples (a, b, c, d, u, v, x, y)
+    violation_count: int
+    solutions: dict = field(repr=False, compare=False)  # (a, b) -> P_ab
 
     @property
     def holds(self) -> bool:
-        return not self.violations
+        return not self.violation_count
+
+    def iter_violations(self):
+        """The 8-tuples (a, b, c, d, u, v, x, y) with u c != v d, in
+        lexicographic order: for each system (a, b, c, d) whose anchors
+        P_ab & P_cd are neither none nor all of P_ab, (P_ab - P_cd) x
+        anchors."""
+        if not self.violation_count:    # spare the scan's second pass
+            return
+        solutions = self.solutions
+        for (a, b), p_ab in solutions.items():
+            for (c, d), p_cd in solutions.items():
+                anchors = p_ab & p_cd
+                if anchors and len(anchors) < len(p_ab):
+                    anchors = sorted(anchors)
+                    for u, v in sorted(p_ab - p_cd):
+                        for x, y in anchors:
+                            yield a, b, c, d, u, v, x, y
+
+    @cached_property
+    def violations(self) -> tuple:
+        return tuple(self.iter_violations())
 
     def to_json(self) -> dict:
         return {
             "systems_checked": self.systems_checked,
             "holds": self.holds,
-            "violations": list(self.violations),
+            "violations": list(self.iter_violations()),
         }
 
 
 def check_malcev_condition(t: CayleyTable) -> MalcevReport:
     """Scan all (a, b, c, d, u, v, x, y) with x a = y b, x c = y d,
-    u a = v b and report every tuple where u c != v d.
+    u a = v b and count the tuples where u c != v d, listing none.
 
     With P_ab = {(x, y) : x a = y b}, the anchors (x, y) of a system
-    (a, b, c, d) are P_ab & P_cd, the systems checked number
-    |P_ab| * |anchors|, and the violations are (P_ab - P_cd) x anchors,
-    listed in lexicographic order."""
+    (a, b, c, d) are P_ab & P_cd, of size k say.  The systems checked
+    number |P_ab| * k and the violations, (P_ab - P_cd) x anchors,
+    (|P_ab| - k) * k; summed over the systems of one (a, b), those are
+    |P_ab| * K1 and |P_ab| * K1 - K2 with K1 and K2 the sums of k and k^2."""
     if not is_associative(t):
         raise TableError("the quadruple condition is checked on semigroups; "
                          "table is not associative")
     rng = range(t.n)
     cols = tuple(zip(*t.rows))
-    eq = {(a, b): frozenset((x, y) for x, xa in enumerate(cols[a])
-                            for y, yb in enumerate(cols[b]) if xa == yb)
-          for a in rng for b in rng}
-    checked = 0
-    violations = []
-    for (a, b), p_ab in eq.items():
-        for (c, d), p_cd in eq.items():
-            anchors = p_ab & p_cd
-            if not anchors:
-                continue
-            checked += len(p_ab) * len(anchors)
-            anchors = sorted(anchors)
-            violations.extend((a, b, c, d, u, v, x, y)
-                              for u, v in sorted(p_ab - p_cd)
-                              for x, y in anchors)
-    return MalcevReport(checked, tuple(violations))
+    solutions = {(a, b): frozenset((x, y) for x, xa in enumerate(cols[a])
+                                   for y, yb in enumerate(cols[b]) if xa == yb)
+                 for a in rng for b in rng}
+    sets = tuple(solutions.values())
+    checked = squares = 0
+    for p_ab in sets:
+        ks = list(map(len, map(p_ab.intersection, sets)))
+        checked += len(p_ab) * sum(ks)
+        squares += sum(map(mul, ks, ks))
+    return MalcevReport(checked, checked - squares, solutions)

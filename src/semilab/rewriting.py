@@ -30,9 +30,10 @@ redone.  One overlap generator, ``_overlap_results``, serves completion and
 are a confluent system's normal forms, and two walks read it:
 ``_irreducible_strings`` lists them packed, in shortlex order, and
 ``_normal_form_counts`` counts them by length without listing one.
-``enumerate_elements`` decodes the listing; ``collapsed_normal_forms``
-groups it under another system's rules, or takes the counts when none of
-the rules it tries can match a normal form.
+``iter_elements`` and ``enumerate_elements`` decode the listing, one word
+at a time or as a list; ``collapsed_normal_forms`` groups it under another
+system's rules, or takes the counts when none of the rules it tries can
+match a normal form.
 """
 
 from __future__ import annotations
@@ -393,11 +394,17 @@ def _normal_form_counts(rs: RewriteSystem, max_len: int):
         level = nxt
 
 
+def iter_elements(rs: RewriteSystem, max_len: int):
+    """``enumerate_elements`` as an iterator: a level of the listing is
+    built only when its first word is drawn."""
+    return map(_dec, _irreducible_strings(rs, max_len))
+
+
 def enumerate_elements(rs: RewriteSystem, max_len: int):
     """All irreducible words of length <= max_len, in shortlex order; each is
     the canonical representative of a distinct element.  Requires a confluent
     system."""
-    return list(map(_dec, _irreducible_strings(rs, max_len)))
+    return list(iter_elements(rs, max_len))
 
 
 def collapsed_normal_forms(rs: RewriteSystem, other: RewriteSystem,

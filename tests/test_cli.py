@@ -320,6 +320,27 @@ def test_bad_params_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malcev_listing_too_large_exit2(tmp_path):
+    # rank1_universe(1, 23) has 12,022,560 violations, about 1 GB of report:
+    # the count refuses it before a byte is written, well inside a 128 MiB
+    # address-space cap (RLIMIT_AS) that listing them would overrun
+    resource = pytest.importorskip("resource")
+    limit = 128 * 2**20
+    table = tmp_path / "rank1-1-23.json"
+    table.write_text(json.dumps(rank1_universe(1, 23).table.to_json()))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    proc = subprocess.run([sys.executable, "-m", "semilab", "malcev",
+                           str(table)], capture_output=True, text=True,
+                          preexec_fn=cap_memory, timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {table}: 12022560 violations of the quadruple condition, "
+        "more than the 10000000 a report may list\n")
+
+
 def test_rank1_cell_bound_exit2(capsys):
     # 19,494 nonzero matrices are over the bound, which is checked before
     # any matrix is built
@@ -444,8 +465,11 @@ def test_reports_match_golden_digests(tmp_path, capsys):
 
 def test_out_writes_stdout_bytes(quad, z3, tmp_path, capsys):
     out = tmp_path / "report.json"
+    rank1_1_5 = tmp_path / "rank1-1-5.json"
+    rank1_1_5.write_text(json.dumps(rank1_universe(1, 5).table.to_json()))
     for argv in (["probe", quad, "--max-len", "3"], ["laws", z3],
-                 ["rank1", "--n", "2", "--p", "3"]):
+                 ["rank1", "--n", "2", "--p", "3"],
+                 ["malcev", str(rank1_1_5)]):
         assert main(argv) == EXIT_OK
         stdout = capsys.readouterr().out
         assert main(argv + ["--out", str(out)]) == EXIT_OK

@@ -13,6 +13,7 @@ from semilab.embedding import (CollisionWitness, MalcevReport, ProbeError,
                                check_malcev_condition, probe_embedding,
                                quadruple_presentation)
 from semilab.finite import CayleyTable, TableError, enumerate_semigroups
+from semilab.rank1 import rank1_universe
 from semilab.presentations import (build_gm, parse_presentation_file,
                                     parse_presentation_text)
 from semilab.rewriting import (CONFLUENT, collapsed_normal_forms,
@@ -331,17 +332,18 @@ def test_probe_fallback_budget_is_global():
     assert rep.inconclusive[0] == (FREE2.word("1"), FREE2.word("a"))
 
 
-def semilab_probe(name, max_len):
+def semilab_probe(name, max_len, *options, limit_mib=512):
     """``semilab probe`` run in a subprocess whose address space is capped
-    at 512 MiB (RLIMIT_AS), so a probe that lists too much fails fast."""
+    at ``limit_mib`` MiB (RLIMIT_AS), so a probe that lists too much fails
+    fast."""
     resource = pytest.importorskip("resource")
-    limit = 512 * 2**20
+    limit = limit_mib * 2**20
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     return subprocess.run(
         [sys.executable, "-m", "semilab", "probe", str(INPUTS / name),
-         "--max-len", str(max_len)],
+         "--max-len", str(max_len), *options],
         capture_output=True, text=True, preexec_fn=cap_memory, timeout=60)
 
 
@@ -356,6 +358,22 @@ def test_probe_free_monoid_length_15_in_bounded_memory():
     report = json.loads(proc.stdout)
     assert report["status"] == "no-collision-found"
     assert report["element_count"] == 21_523_360
+
+
+def test_probe_fallback_draws_elements_lazily():
+    # max_rules=1 sends free-abc down the per-pair search; its 100,000-word
+    # budget runs out after 74 searches, which reach 75 of the 797,161
+    # elements up to length 12.  Listing all of them peaked at 183 MiB,
+    # past this 128 MiB cap.
+    proc = semilab_probe("free-abc.pres", 12, "--max-rules", "1",
+                         limit_mib=128)
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "inconclusive"
+    assert report["inconclusive_count"] == 797_161 * 797_160 // 2
+    assert report["inconclusive"][:2] == [["1", "a"], ["1", "b"]]
+    assert report["budget_spent"]["pairs_checked"] == 74
+    assert report["budget_spent"]["words_visited"] == 100_000
 
 
 def test_probe_count_too_long_to_print_exit2():
@@ -422,6 +440,20 @@ def test_malcev_matches_brute_force_order3_and_order4_sample():
         checked, violations = brute_malcev(t)
         assert rep.systems_checked == checked
         assert list(rep.violations) == violations
+        assert rep.violation_count == len(violations)
+        assert rep.holds == (rep.violation_count == 0) == (not violations)
+
+
+def test_malcev_counts_and_lists_rank1_1_11():
+    # the benchmark's violating table: the count comes from the scan, the
+    # tuples only when drawn, and each draw lists them again in order
+    rep = check_malcev_condition(rank1_universe(1, 11).table)
+    assert rep.systems_checked == 479_281
+    assert rep.violation_count == 277_200 and not rep.holds
+    listed = list(rep.iter_violations())
+    assert listed == list(rep.iter_violations()) == list(rep.violations)
+    assert len(listed) == rep.violation_count
+    assert listed == sorted(set(listed))
 
 
 def test_malcev_violations_re_verify():

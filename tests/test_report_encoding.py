@@ -4,7 +4,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from semilab.cli import _encode
+from semilab.cli import _SLICE, _encode, _parts
 
 # escapes, '%' (the encoder fills %-templates) and non-ASCII, next to
 # arbitrary text
@@ -51,7 +51,8 @@ TREES = st.recursive(
 @settings(max_examples=200)
 @given(TREES)
 def test_encode_matches_json_dumps(obj):
-    assert _encode(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert "".join(_parts(obj)) == _encode(obj) == json.dumps(
+        obj, indent=2, sort_keys=True)
 
 
 def test_encode_fast_paths_examples():
@@ -73,3 +74,42 @@ def test_encode_fast_paths_examples():
     ]
     for obj in cases:
         assert _encode(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _int_rows(count):
+    return [[i, -i, i % 7] for i in range(count)]
+
+
+def test_parts_long_lists_and_generators():
+    # slices of _SLICE items, the last one full, one over, and two; a
+    # generator is written as the list it yields
+    for count in (_SLICE, _SLICE + 1, 2 * _SLICE):
+        rows = _int_rows(count)
+        text = json.dumps(rows, indent=2, sort_keys=True)
+        assert "".join(_parts(rows)) == text
+        assert "".join(_parts(tuple(map(tuple, rows)))) == text
+        assert "".join(_parts(row for row in rows)) == text
+    assert "".join(_parts(x for x in ())) == "[]"
+    report = {"n": 3, "violations": (tuple(r) for r in _int_rows(5)),
+              "empty": (x for x in ())}
+    assert "".join(_parts(report)) == json.dumps(
+        {"n": 3, "violations": _int_rows(5), "empty": []}, indent=2,
+        sort_keys=True)
+
+
+def test_parts_draw_a_generator_one_slice_at_a_time():
+    drawn = []
+
+    def rows():
+        for row in _int_rows(3 * _SLICE):
+            drawn.append(row)
+            yield row
+    parts = _parts({"rows": rows()})
+    text = ""
+    while len(drawn) < _SLICE:
+        text += next(parts)
+    # the first slice is written before the second is drawn
+    assert len(drawn) == _SLICE
+    text += "".join(parts)
+    assert len(drawn) == 3 * _SLICE
+    assert text == json.dumps({"rows": _int_rows(3 * _SLICE)}, indent=2)
