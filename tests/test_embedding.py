@@ -13,9 +13,9 @@ from semilab.embedding import (CollisionWitness, MalcevReport, ProbeError,
                                check_malcev_condition, probe_embedding,
                                quadruple_presentation)
 from semilab.finite import CayleyTable, TableError, enumerate_semigroups
-from semilab.rank1 import rank1_universe
 from semilab.presentations import (build_gm, parse_presentation_file,
                                     parse_presentation_text)
+from semilab.rank1 import rank1_universe
 from semilab.rewriting import (CONFLUENT, collapsed_normal_forms,
                                enumerate_elements, kb_complete, reduce,
                                replay_derivation)

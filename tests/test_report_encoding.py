@@ -105,10 +105,9 @@ def test_parts_draw_a_generator_one_slice_at_a_time():
             drawn.append(row)
             yield row
     parts = _parts({"rows": rows()})
-    text = ""
-    while len(drawn) < _SLICE:
-        text += next(parts)
-    # the first slice is written before the second is drawn
+    text = next(parts)                          # the key
+    assert drawn == []
+    text += next(parts) + next(parts)           # "[" and the first slice
     assert len(drawn) == _SLICE
     text += "".join(parts)
     assert len(drawn) == 3 * _SLICE
