@@ -128,8 +128,13 @@ def _parts(obj, indent: str = ""):
     if kind is dict and set(map(type, obj)) == {str}:
         head = "{\n" + inner
         for key in sorted(obj):
-            yield head + _encode_str(key) + ": "
-            yield from _parts(obj[key], inner)
+            value = obj[key]
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:      # one part, no nested generator
+                yield head + _encode_str(key) + ": " + scalar(value)
+            else:
+                yield head + _encode_str(key) + ": "
+                yield from _parts(value, inner)
             head = ",\n" + inner
         yield "\n" + indent + "}"
         return
@@ -254,8 +259,7 @@ def _cmd_malcev(args):
             f"condition, more than the {MAX_LISTED_VIOLATIONS} a report may "
             "list")
     # the violations are listed while the report is written
-    report = {"n": t.n, "systems_checked": rep.systems_checked,
-              "holds": rep.holds, "violations": rep.iter_violations()}
+    report = {"n": t.n, **rep.to_json_stream()}
     summary = [f"holds: {rep.holds}   systems checked: {rep.systems_checked}"]
     if not rep.holds:
         summary.append(f"violations: {rep.violation_count}   first: "
