@@ -16,13 +16,16 @@ writes the report.  The report bytes are exactly those of
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.  They are
 written as they are encoded: ``_parts`` yields the text a dict key or a
 slice of a list at a time, with the joins done in C, and a generator in the
-report is drawn only as its slice is written, so ``malcev`` never holds its
-violation list.  ``malcev`` refuses, before writing anything, a table with
-more than MAX_LISTED_VIOLATIONS violations.  Exit codes: 0 the analysis
-completed (finding a collision or a law failure is a completed analysis),
-2 bad input or parameters (an --out path that cannot be written and a
-malcev listing too large to write included), 3 a search budget ran out
-before the answer was settled (a partial report is still written).
+report is drawn only as its slice is written.  ``malcev``'s violations come
+as a ``ViolationListing`` and are written from its blocks, rows that share
+their first four entries (see ``_violation_rows``), so ``malcev`` never
+holds its violation list and encodes each shared part once.  ``malcev``
+refuses, before writing anything, a table with more than
+MAX_LISTED_VIOLATIONS violations.  Exit codes: 0 the analysis completed
+(finding a collision or a law failure is a completed analysis), 2 bad input
+or parameters (an --out path that cannot be written and a malcev listing
+too large to write included), 3 a search budget ran out before the answer
+was settled (a partial report is still written).
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, product, starmap
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import add
 from types import GeneratorType
 
-from .embedding import ProbeError, check_malcev_condition, probe_embedding
+from .embedding import (ProbeError, ViolationListing, check_malcev_condition,
+                        probe_embedding)
 from .fields import FieldError
 from .finite import (CayleyTable, TableError, associativity_failure,
                      check_laws, enumerate_semigroups)
@@ -107,20 +112,24 @@ def _parts(obj, indent: str = ""):
     in C when its items share a fast path (see ``_encode_each``).  With
     indent set the json module runs its pure-Python encoder, so json.dumps
     is called only for what has no exact-type path (floats, int keys,
-    subclasses)."""
+    subclasses).  A ``ViolationListing`` is written as the list it yields,
+    from rows that ``_violation_rows`` encodes a block at a time; its slices
+    are ``_SLICE`` rows too, so a block longer than one is split."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
         yield scalar(obj)
         return
     inner = indent + "  "
-    if kind is list or kind is tuple or kind is GeneratorType:
-        items = iter(obj)
+    listing = kind is ViolationListing
+    if listing or kind is list or kind is tuple or kind is GeneratorType:
+        items = (chain.from_iterable(_violation_rows(obj.report, inner))
+                 if listing else iter(obj))
         sep = ",\n" + inner
         head = "[\n" + inner
         while chunk := list(islice(items, _SLICE)):
             yield head
-            yield sep.join(_encode_each(chunk, inner))
+            yield sep.join(chunk if listing else _encode_each(chunk, inner))
             head = sep
         # head is sep once an item is written
         yield "\n" + indent + "]" if head is sep else "[]"
@@ -167,6 +176,28 @@ def _encode_each(values, indent: str):
                        + "\n" + indent + "]")
                 return map(row.__mod__, map(tuple, values))
     return [_encode(v, indent) for v in values]
+
+
+def _violation_rows(report, indent: str):
+    """The encodings of ``report``'s violations, each starting on a line
+    indented by ``indent``, as one C-side iterator per block of its
+    ``blocks``.  A row is its (a, b, c, d, u, v) head plus its (x, y) tail:
+    the heads are made once per block, from the system's text and each
+    (u, v)'s, and the (u, v) and (x, y) texts once per report, so a row
+    costs one concatenation."""
+    sep = ",\n" + indent + "  "
+    opening = "[" + sep[1:] + sep.join(["%d"] * 4) + sep
+    middle = "%d" + sep + "%d" + sep
+    tail = "%d" + sep + "%d\n" + indent + "]"
+    # (u, v) -> its middle and (x, y) -> its tail, at most n^2 of each
+    middles, tails = {}, {}
+    for system, uvs, anchors in report.blocks():
+        for texts, template, pairs in ((middles, middle, uvs),
+                                       (tails, tail, anchors)):
+            new = set(pairs).difference(texts)
+            texts.update(zip(new, map(template.__mod__, new)))
+        heads = map((opening % system).__add__, map(middles.__getitem__, uvs))
+        yield starmap(add, product(heads, map(tails.__getitem__, anchors)))
 
 
 def _emit(report: dict, summary, out_path):

@@ -15,15 +15,17 @@ word acceptor, and none is listed.
 check_malcev_condition runs the classical quadruple test on a finite table:
   x a = y b,  x c = y d,  u a = v b   must force   u c = v d
 in any group, so a violating 8-tuple rules out embeddability without ever
-building G(M).  The scan counts the systems and the violations exactly and
-lists no tuple; its report lists them on demand, in lexicographic order.
+building G(M).  The scan keeps each P_ab = {(x, y) : x a = y b} as one int
+mask and counts the systems and the violations exactly, with popcounts,
+listing no tuple; its report lists them on demand, in lexicographic order,
+a block of rows that share (a, b, c, d) at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from operator import mul
 
 from .finite import CayleyTable, TableError, is_associative
@@ -252,50 +254,91 @@ def quadruple_presentation() -> Presentation:
 
 @dataclass(frozen=True)
 class MalcevReport:
-    """Outcome of the quadruple condition on one finite table: the exact
-    counts, and P_ab = {(x, y) : x a = y b} for each (a, b), from which
-    ``iter_violations`` lists the violating tuples when drawn."""
+    """Outcome of the quadruple condition on one finite table of order n:
+    the exact counts, and for each (a, b), in lexicographic order, the mask
+    of P_ab = {(x, y) : x a = y b}, an int with bit x n + y set for each
+    (x, y) in P_ab.
+
+    ``blocks`` is the one definition of the listing's order;
+    ``iter_violations``, ``violations``, ``to_json`` and the CLI's writer
+    all expand it."""
 
     systems_checked: int
     violation_count: int
-    solutions: dict = field(repr=False, compare=False)  # (a, b) -> P_ab
+    n: int = field(repr=False, compare=False)
+    masks: tuple = field(repr=False, compare=False)
 
     @property
     def holds(self) -> bool:
         return not self.violation_count
 
-    def iter_violations(self):
-        """The 8-tuples (a, b, c, d, u, v, x, y) with u c != v d, in
-        lexicographic order: for each system (a, b, c, d) whose anchors
-        P_ab & P_cd are neither none nor all of P_ab, (P_ab - P_cd) x
-        anchors."""
+    def blocks(self):
+        """The violations a system at a time, in the listing's one order:
+        for each system (a, b, c, d), in lexicographic order, whose anchors
+        P_ab & P_cd are neither none nor all of P_ab, the block
+        ((a, b, c, d), uvs, anchors) with uvs the sorted tuple of
+        P_ab - P_cd and anchors that of P_ab & P_cd.  The block's
+        violations are (a, b, c, d) + (u, v) + (x, y) for each (u, v) in
+        uvs and, within it, each (x, y) in anchors, so the blocks expanded
+        are in lexicographic order.  Decoded masks are kept, at most n^2
+        at a time, so equal masks share one tuple."""
         if not self.violation_count:    # spare the scan's second pass
             return
-        solutions = self.solutions
-        for (a, b), p_ab in solutions.items():
-            for (c, d), p_cd in solutions.items():
-                anchors = p_ab & p_cd
-                if anchors and len(anchors) < len(p_ab):
-                    anchors = sorted(anchors)
-                    for u, v in sorted(p_ab - p_cd):
-                        for x, y in anchors:
-                            yield a, b, c, d, u, v, x, y
+        rng = range(self.n)
+        pairs = [(x, y) for x in rng for y in rng]     # bit x n + y
+        decoded = {}
+
+        def members(mask):
+            found = decoded.get(mask)
+            if found is None:
+                if len(decoded) >= len(pairs):
+                    decoded.clear()
+                # bin(mask) reversed is bit 0 first
+                found = decoded[mask] = tuple(
+                    compress(pairs, map("1".__eq__, bin(mask)[:1:-1])))
+            return found
+
+        systems = list(zip(pairs, self.masks))
+        for ab, m_ab in systems:
+            for cd, m_cd in systems:
+                anchors = m_ab & m_cd
+                if anchors and anchors != m_ab:
+                    yield ab + cd, members(m_ab ^ anchors), members(anchors)
+
+    def iter_violations(self):
+        """The 8-tuples (a, b, c, d, u, v, x, y) with u c != v d, in
+        lexicographic order: ``blocks`` expanded."""
+        for system, uvs, anchors in self.blocks():
+            for uv in uvs:
+                yield from map((system + uv).__add__, anchors)
 
     @cached_property
     def violations(self) -> tuple:
         return tuple(self.iter_violations())
 
     def to_json_stream(self) -> dict:
-        """The report's fields, with ``violations`` a generator that lists
-        the tuples only as it is drawn."""
+        """The report's fields, with ``violations`` a ``ViolationListing``
+        that lists the tuples only as it is drawn."""
         return {"systems_checked": self.systems_checked, "holds": self.holds,
-                "violations": self.iter_violations()}
+                "violations": ViolationListing(self)}
 
     def to_json(self) -> dict:
         """``to_json_stream`` with the violations drawn into a list."""
         report = self.to_json_stream()
         report["violations"] = list(report["violations"])
         return report
+
+
+@dataclass(frozen=True)
+class ViolationListing:
+    """A report's violations as a lazy list: iterating it gives
+    ``report.iter_violations()``, and a writer that knows the type may
+    encode ``report.blocks()`` instead, sharing each block's parts."""
+
+    report: MalcevReport
+
+    def __iter__(self):
+        return self.report.iter_violations()
 
 
 def check_malcev_condition(t: CayleyTable) -> MalcevReport:
@@ -306,19 +349,26 @@ def check_malcev_condition(t: CayleyTable) -> MalcevReport:
     (a, b, c, d) are P_ab & P_cd, of size k say.  The systems checked
     number |P_ab| * k and the violations, (P_ab - P_cd) x anchors,
     (|P_ab| - k) * k; summed over the systems of one (a, b), those are
-    |P_ab| * K1 and |P_ab| * K1 - K2 with K1 and K2 the sums of k and k^2."""
+    |P_ab| * K1 and |P_ab| * K1 - K2 with K1 and K2 the sums of k and k^2.
+    Each P_ab is one int mask, so a row of k is one C-side map of
+    ``&`` and ``int.bit_count`` over all the masks."""
     if not is_associative(t):
         raise TableError("the quadruple condition is checked on semigroups; "
                          "table is not associative")
-    rng = range(t.n)
+    n = t.n
     cols = tuple(zip(*t.rows))
-    solutions = {(a, b): frozenset((x, y) for x, xa in enumerate(cols[a])
-                                   for y, yb in enumerate(cols[b]) if xa == yb)
-                 for a in rng for b in rng}
-    sets = tuple(solutions.values())
+    # by_value[b][z]: the mask of the y with y b = z, as bits y
+    by_value = [[0] * n for _ in cols]
+    for masks_b, col in zip(by_value, cols):
+        for y, z in enumerate(col):
+            masks_b[z] |= 1 << y
+    # bits x n + y of P_ab: for each x, the y with y b = x a, shifted to x
+    masks = tuple(sum(masks_b[z] << x * n for x, z in enumerate(col_a))
+                  for col_a in cols for masks_b in by_value)
     checked = squares = 0
-    for p_ab in sets:
-        ks = list(map(len, map(p_ab.intersection, sets)))
-        checked += len(p_ab) * sum(ks)
-        squares += sum(map(mul, ks, ks))
-    return MalcevReport(checked, checked - squares, solutions)
+    for m_ab in masks:
+        if m_ab:
+            ks = list(map(int.bit_count, map(m_ab.__and__, masks)))
+            checked += m_ab.bit_count() * sum(ks)
+            squares += sum(map(mul, ks, ks))
+    return MalcevReport(checked, checked - squares, n, masks)

@@ -51,6 +51,14 @@ class CayleyTable:
                 if not (type(v) is int and 0 <= v < n):
                     raise TableError(f"entry {v!r} is not an int in [0, {n})")
 
+    @classmethod
+    def _trusted(cls, rows: tuple) -> "CayleyTable":
+        """A table on ``rows``, square tuples of int entries in range by
+        construction, built without ``__post_init__``'s per-entry check."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -335,7 +343,9 @@ def enumerate_semigroups(n: int):
 
 
 def _table_of(flat, n: int) -> CayleyTable:
-    return CayleyTable(tuple(flat[i:i + n] for i in range(0, n * n, n)))
+    # the search fills every cell with an int in range(n)
+    return CayleyTable._trusted(tuple(flat[i:i + n]
+                                      for i in range(0, n * n, n)))
 
 
 def _conjugations(n: int) -> list:
