@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress, islice
-from operator import mul
+from itertools import combinations, compress, islice, product, starmap
+from operator import add, mul
 
 from .finite import CayleyTable, TableError, is_associative
 from .presentations import PLAIN, Presentation, Word, build_gm, parse_presentation_text
@@ -309,8 +309,8 @@ class MalcevReport:
         """The 8-tuples (a, b, c, d, u, v, x, y) with u c != v d, in
         lexicographic order: ``blocks`` expanded."""
         for system, uvs, anchors in self.blocks():
-            for uv in uvs:
-                yield from map((system + uv).__add__, anchors)
+            heads = map(system.__add__, uvs)
+            yield from starmap(add, product(heads, anchors))
 
     @cached_property
     def violations(self) -> tuple:
@@ -367,8 +367,7 @@ def check_malcev_condition(t: CayleyTable) -> MalcevReport:
                   for col_a in cols for masks_b in by_value)
     checked = squares = 0
     for m_ab in masks:
-        if m_ab:
-            ks = list(map(int.bit_count, map(m_ab.__and__, masks)))
-            checked += m_ab.bit_count() * sum(ks)
-            squares += sum(map(mul, ks, ks))
+        ks = list(map(int.bit_count, map(m_ab.__and__, masks)))
+        checked += m_ab.bit_count() * sum(ks)
+        squares += sum(map(mul, ks, ks))
     return MalcevReport(checked, checked - squares, n, masks)
