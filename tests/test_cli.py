@@ -320,24 +320,41 @@ def test_bad_params_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def malcev_capped(table, limit=128 * 2**20):
+    """``semilab malcev table`` in a subprocess whose address space is
+    capped at ``limit`` bytes (RLIMIT_AS)."""
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run([sys.executable, "-m", "semilab", "malcev",
+                           str(table)], capture_output=True, text=True,
+                          preexec_fn=cap_memory, timeout=60)
+
+
 def test_malcev_listing_too_large_exit2(tmp_path):
     # rank1_universe(1, 23) has 12,022,560 violations, about 1 GB of report:
     # the count refuses it before a byte is written, well inside a 128 MiB
     # address-space cap (RLIMIT_AS) that listing them would overrun
-    resource = pytest.importorskip("resource")
-    limit = 128 * 2**20
     table = tmp_path / "rank1-1-23.json"
     table.write_text(json.dumps(rank1_universe(1, 23).table.to_json()))
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    proc = subprocess.run([sys.executable, "-m", "semilab", "malcev",
-                           str(table)], capture_output=True, text=True,
-                          preexec_fn=cap_memory, timeout=60)
+    proc = malcev_capped(table)
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert proc.stderr == (
         f"error: {table}: 12022560 violations of the quadruple condition, "
+        "more than the 10000000 a report may list\n")
+
+
+def test_malcev_33_element_table_refused_exit2():
+    # rank1_universe(2, 3): 1,604,427,264 violations, counted on bitmasks
+    # in a fraction of a second and well inside a 128 MiB cap
+    table = INPUTS / "rank1-2-3.json"
+    proc = malcev_capped(table)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {table}: 1604427264 violations of the quadruple condition, "
         "more than the 10000000 a report may list\n")
 
 

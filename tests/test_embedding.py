@@ -456,6 +456,65 @@ def test_malcev_counts_and_lists_rank1_1_11():
     assert listed == sorted(set(listed))
 
 
+def frozenset_malcev(t):
+    """The scan on frozensets, for comparison: with P_ab and k as in
+    check_malcev_condition, Σ |P_ab|·k and Σ (|P_ab| - k)·k over all pairs
+    of (a, b) and (c, d), and the violations as nested loops list them, a
+    block (system, sorted P_ab - P_cd, sorted anchors) per system that has
+    any."""
+    rng = range(t.n)
+    sets = {(a, b): frozenset((x, y) for x in rng for y in rng
+                              if t.rows[x][a] == t.rows[y][b])
+            for a in rng for b in rng}
+    checked = count = 0
+    blocks = []
+    for ab, p_ab in sets.items():
+        for cd, p_cd in sets.items():
+            anchors = p_ab & p_cd
+            k = len(anchors)
+            checked += len(p_ab) * k
+            count += (len(p_ab) - k) * k
+            if (len(p_ab) - k) * k:
+                blocks.append((ab + cd, tuple(sorted(p_ab - p_cd)),
+                               tuple(sorted(anchors))))
+    return checked, count, blocks
+
+
+def nested_loop_listing(blocks):
+    return [system + uv + xy for system, uvs, anchors in blocks
+            for uv in uvs for xy in anchors]
+
+
+def test_malcev_bitmasks_match_frozensets():
+    # every table of order <= 4 and the benchmark's violating table: the
+    # popcount sums and the blocks against frozensets, and the listing
+    # against nested loops; the order-4 tables have 7,584,018 violations in
+    # all, about 8 s to list on both sides, so every 10th is listed
+    cases = [(t, True) for t in chain(*map(enumerate_semigroups, (1, 2, 3)),
+                                      [rank1_universe(1, 11).table])]
+    cases += [(t, i % 10 == 0) for i, t in enumerate(enumerate_semigroups(4))]
+    for t, listed in cases:
+        rep = check_malcev_condition(t)
+        checked, count, blocks = frozenset_malcev(t)
+        assert (rep.systems_checked, rep.violation_count) == (checked, count)
+        assert list(rep.blocks()) == blocks
+        if listed:
+            assert list(rep.iter_violations()) == nested_loop_listing(blocks)
+
+
+def test_malcev_counts_the_33_element_table():
+    # rank1_universe(2, 3), committed as inputs/rank1-2-3.json: the pinned
+    # oracle counts, in about 0.3 s on a 2-vCPU host (the bound is loose,
+    # for slower hosts; on frozensets the scan took about 3 s)
+    with open(INPUTS / "rank1-2-3.json", encoding="utf-8") as fh:
+        t = CayleyTable.from_json(json.load(fh))
+    started = time.monotonic()
+    rep = check_malcev_condition(t)
+    assert rep.systems_checked == 2_526_467_841
+    assert rep.violation_count == 1_604_427_264
+    assert time.monotonic() - started < 10
+
+
 def test_malcev_violations_re_verify():
     found = 0
     for t in enumerate_semigroups(3):

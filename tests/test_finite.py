@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
 
 import pytest
@@ -279,6 +279,17 @@ def test_enumerate_order3_matches_brute_filter():
     assert len(tables) == brute_count(3) == 113
     assert len(set(t.rows for t in tables)) == len(tables)
     assert all(is_associative(t) for t in tables)
+
+
+def test_generated_tables_pass_the_public_check():
+    # the generators build their tables without the per-entry check; each
+    # must equal the table the checking constructor makes of its rows
+    for t in chain(*map(enumerate_semigroups, (1, 2, 3, 4)),
+                   semigroup_representatives(5)):
+        checked = CayleyTable(t.rows)
+        assert t == checked and hash(t) == hash(checked)
+        assert type(t.rows) is tuple
+        assert all(type(row) is tuple for row in t.rows)
 
 
 def full_rescan_semigroups(n):

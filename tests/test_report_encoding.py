@@ -1,10 +1,14 @@
 """The CLI's report encoder against json.dumps(indent=2, sort_keys=True)."""
 
 import json
+from itertools import accumulate
 
 from hypothesis import given, settings, strategies as st
 
+from semilab import cli
 from semilab.cli import _SLICE, _encode, _parts
+from semilab.embedding import ViolationListing, check_malcev_condition
+from semilab.finite import CayleyTable
 
 # escapes, '%' (the encoder fills %-templates) and non-ASCII, next to
 # arbitrary text
@@ -112,3 +116,74 @@ def test_parts_draw_a_generator_one_slice_at_a_time():
     text += "".join(parts)
     assert len(drawn) == 3 * _SLICE
     assert text == json.dumps({"rows": _int_rows(3 * _SLICE)}, indent=2)
+
+
+def _monogenic(index, period):
+    """The monogenic semigroup x, x^2, ... with x^(index + period) =
+    x^index, numbered from 0."""
+    n = index + period - 1
+
+    def power(k):
+        return k if k < n else index - 1 + (k - index + 1) % period
+    return CayleyTable(tuple(tuple(power(i + j + 1) for j in range(n))
+                             for i in range(n)))
+
+
+def _nested(listing):
+    # at a nonzero indent, next to a key that sorts before it
+    return {"outer": {"n": 0, "violations": listing}}
+
+
+def _listing_text(rep):
+    text = "".join(_parts(_nested(ViolationListing(rep))))
+    drawn = list(rep.iter_violations())
+    # compared line by line: a failing diff of the whole text is slow
+    assert text.split("\n") == json.dumps(
+        _nested(drawn), indent=2, sort_keys=True).split("\n")
+    return text
+
+
+def test_parts_violation_listings_match_json_dumps():
+    # empty; two-digit entries in one slice (3,956 rows); and 17,162 rows of
+    # order 12, where some block straddles a slice boundary
+    group = CayleyTable(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    assert '"violations": []' in _listing_text(check_malcev_condition(group))
+    for index, period, count in ((3, 9, 3_956), (4, 9, 17_162)):
+        rep = check_malcev_condition(_monogenic(index, period))
+        assert rep.violation_count == count
+        assert max(map(max, rep.iter_violations())) >= 10
+        _listing_text(rep)
+    ends = set(accumulate(len(uvs) * len(anchors)
+                          for _, uvs, anchors in rep.blocks()))
+    boundaries = range(_SLICE, count, _SLICE)
+    assert len(boundaries) == 4 and not ends.issuperset(boundaries)
+
+
+def test_parts_split_violation_blocks_longer_than_a_slice(monkeypatch):
+    # blocks of up to 26 rows, written 7 rows a part
+    monkeypatch.setattr(cli, "_SLICE", 7)
+    rep = check_malcev_condition(_monogenic(3, 9))
+    assert max(len(uvs) * len(anchors)
+               for _, uvs, anchors in rep.blocks()) > 7
+    _listing_text(rep)
+
+
+def test_parts_draw_a_violation_listing_one_slice_at_a_time():
+    rep = check_malcev_condition(_monogenic(4, 9))
+    biggest = max(len(uvs) * len(anchors) for _, uvs, anchors in rep.blocks())
+    drawn = []
+
+    class Counted:
+        def blocks(self):
+            for block in rep.blocks():
+                drawn.append(len(block[1]) * len(block[2]))
+                yield block
+    parts = _parts({"violations": ViolationListing(Counted())})
+    text = next(parts)                          # the key
+    assert drawn == []
+    text += next(parts) + next(parts)           # "[" and the first slice
+    assert _SLICE <= sum(drawn) < _SLICE + biggest
+    text += "".join(parts)
+    assert sum(drawn) == rep.violation_count
+    assert text.split("\n") == json.dumps({"violations": rep.violations},
+                                          indent=2).split("\n")
