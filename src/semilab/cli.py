@@ -18,8 +18,10 @@ written as they are encoded: ``_parts`` yields the text a dict key or a
 slice of a list at a time, with the joins done in C, and a generator in the
 report is drawn only as its slice is written.  ``malcev``'s violations come
 as a ``ViolationListing`` and are written from its blocks, rows that share
-their first four entries (see ``_violation_rows``), so ``malcev`` never
-holds its violation list and encodes each shared part once.  ``malcev``
+their first four entries: one C-side join per block with one anchor, and
+one per (u, v) head of any other block (see ``_violation_rows``), gathered
+into parts of about ``_SLICE`` rows.  So ``malcev`` never holds its
+violation list and encodes each shared part once.  ``malcev``
 refuses, before writing anything, a table with more than
 MAX_LISTED_VIOLATIONS violations.  Exit codes: 0 the analysis completed
 (finding a collision or a law failure is a completed analysis), 2 bad input
@@ -33,9 +35,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, islice, product, starmap
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import add
 from types import GeneratorType
 
 from .embedding import (ProbeError, ViolationListing, check_malcev_condition,
@@ -113,8 +114,11 @@ def _parts(obj, indent: str = ""):
     indent set the json module runs its pure-Python encoder, so json.dumps
     is called only for what has no exact-type path (floats, int keys,
     subclasses).  A ``ViolationListing`` is written as the list it yields,
-    from rows that ``_violation_rows`` encodes a block at a time; its slices
-    are ``_SLICE`` rows too, so a block longer than one is split."""
+    from the texts ``_violation_rows`` makes, each a run of rows that share
+    their (a, b, c, d, u, v) head or, in a one-anchor block, a whole block.
+    Texts are gathered until they hold ``_SLICE`` rows or more and written
+    as one part, so a part ends at a head boundary and holds fewer than
+    ``_SLICE + n^2`` rows."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
@@ -123,13 +127,17 @@ def _parts(obj, indent: str = ""):
     inner = indent + "  "
     listing = kind is ViolationListing
     if listing or kind is list or kind is tuple or kind is GeneratorType:
-        items = (chain.from_iterable(_violation_rows(obj.report, inner))
-                 if listing else iter(obj))
+        if listing:
+            slices = _gather(_violation_rows(obj.report, inner))
+        else:                           # lists of _SLICE items, until []
+            items = iter(obj)
+            slices = (_encode_each(chunk, inner) for chunk in
+                      iter(lambda: list(islice(items, _SLICE)), []))
         sep = ",\n" + inner
         head = "[\n" + inner
-        while chunk := list(islice(items, _SLICE)):
+        for chunk in slices:
             yield head
-            yield sep.join(chunk if listing else _encode_each(chunk, inner))
+            yield sep.join(chunk)
             head = sep
         # head is sep once an item is written
         yield "\n" + indent + "]" if head is sep else "[]"
@@ -180,24 +188,55 @@ def _encode_each(values, indent: str):
 
 def _violation_rows(report, indent: str):
     """The encodings of ``report``'s violations, each starting on a line
-    indented by ``indent``, as one C-side iterator per block of its
-    ``blocks``.  A row is its (a, b, c, d, u, v) head plus its (x, y) tail:
-    the heads are made once per block, from the system's text and each
-    (u, v)'s, and the (u, v) and (x, y) texts once per report, so a row
-    costs one concatenation."""
+    indented by ``indent``, as (rows, text) pairs with text the rows
+    joined: one pair per block of its ``blocks`` that has one anchor, and
+    one per (u, v) head of any other block.  A row is its (a, b, c, d, u,
+    v) head plus its (x, y) tail; the (u, v) and (x, y) texts are made once
+    per report, so each pair's text is one C-side join of them."""
     sep = ",\n" + indent + "  "
     opening = "[" + sep[1:] + sep.join(["%d"] * 4) + sep
     middle = "%d" + sep + "%d" + sep
     tail = "%d" + sep + "%d\n" + indent + "]"
+    between = ",\n" + indent                    # between two rows
     # (u, v) -> its middle and (x, y) -> its tail, at most n^2 of each
-    middles, tails = {}, {}
+    middles, tails = _Filled(middle), _Filled(tail)
     for system, uvs, anchors in report.blocks():
-        for texts, template, pairs in ((middles, middle, uvs),
-                                       (tails, tail, anchors)):
-            new = set(pairs).difference(texts)
-            texts.update(zip(new, map(template.__mod__, new)))
-        heads = map((opening % system).__add__, map(middles.__getitem__, uvs))
-        yield starmap(add, product(heads, map(tails.__getitem__, anchors)))
+        start = opening % system
+        if len(anchors) == 1:
+            end = tails[anchors[0]]
+            yield len(uvs), (start + (end + between + start).join(
+                map(middles.__getitem__, uvs)) + end)
+            continue
+        ends = list(map(tails.__getitem__, anchors))
+        for uv in uvs:
+            head = start + middles[uv]
+            yield len(ends), head + (between + head).join(ends)
+
+
+class _Filled(dict):
+    """key -> ``template % key``, each filled on its first lookup."""
+
+    def __init__(self, template: str):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, key):
+        text = self[key] = self.template % key
+        return text
+
+
+def _gather(pairs):
+    """The texts of (rows, text) ``pairs``, in lists that each end at the
+    first text that brings them to ``_SLICE`` rows or more."""
+    texts, rows = [], 0
+    for count, text in pairs:
+        texts.append(text)
+        rows += count
+        if rows >= _SLICE:
+            yield texts
+            texts, rows = [], 0
+    if texts:
+        yield texts
 
 
 def _emit(report: dict, summary, out_path):
