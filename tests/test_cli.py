@@ -10,6 +10,8 @@ import pytest
 
 from semilab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser,
                          main)
+from semilab.finite import (CayleyTable, _full_associativity_scan,
+                            _generators)
 from semilab.rank1 import rank1_universe
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -229,6 +231,24 @@ def test_non_associative_table_exit2(tmp_path, capsys):
             f"error: {path}: not associative: (0 0) 1 != 0 (0 1)\n"
     path.write_text("not json")
     assert main(["laws", str(path)]) == EXIT_INPUT
+
+
+def test_non_associative_table_names_a_y_outside_the_generators(tmp_path,
+                                                                capsys):
+    # Z4 with 3 * 0 changed to 0: the generating set is {0, 1}, and the
+    # first failing triple is (1 2) 0 = 3 0 = 0 against 1 (2 0) = 1 2 = 3,
+    # so the line names the triple of the full scan, not one at a generator
+    rows = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    rows[3][0] = 0
+    t = CayleyTable(tuple(map(tuple, rows)))
+    assert _generators(t.rows) == [0, 1]
+    assert _full_associativity_scan(t) == (1, 2, 0)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 4, "table": rows}))
+    for verb in ("laws", "malcev"):
+        assert main([verb, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"error: {path}: not associative: (1 2) 0 != 1 (2 0)\n"
 
 
 def test_bad_params_exit2(tmp_path, capsys):

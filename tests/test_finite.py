@@ -6,10 +6,13 @@ from math import factorial
 import pytest
 
 from semilab.finite import (CayleyTable, DecompositionError, TableError,
-                            associativity_failure, check_laws, closure,
-                            decompose_right_group, enumerate_semigroups,
-                            identity_of, is_associative, is_group,
+                            _full_associativity_scan, _generators,
+                            _scan_associativity, associativity_failure,
+                            check_laws, closure, decompose_right_group,
+                            enumerate_semigroups, identity_of,
+                            is_associative, is_group,
                             semigroup_representatives, table_from_product)
+from semilab.rank1 import rank1_universe
 
 
 def cyclic(n):
@@ -74,7 +77,7 @@ def test_closure_of_rank1_generators():
     # two outer products of unit vectors over GF(2) generate a subsemigroup
     # of the full rank <= 1 universe
     from semilab.fields import GF
-    from semilab.rank1 import make_rank1, multiply, rank1_universe
+    from semilab.rank1 import make_rank1, multiply
     F2 = GF(2)
     g1 = make_rank1(F2, (1, 0), (0, 1))
     g2 = make_rank1(F2, (0, 1), (1, 0))
@@ -131,6 +134,83 @@ def test_associativity_failure_is_first_failing_triple():
     assert None in answers and answers.count(None) < len(answers)
     for t, want in zip(tables, answers):
         assert associativity_failure(t) == want
+
+
+def assert_light_matches_full(tables):
+    """Light's test on a generating set gives the full scan's answer, the
+    first failing triple or None, on every table; returns the answers."""
+    answers = []
+    for t in tables:
+        want = _full_associativity_scan(t)
+        assert _scan_associativity(t) == want, t.rows
+        answers.append(want)
+    return answers
+
+
+def one_cell_changed(t, rnd):
+    rows = [list(row) for row in t.rows]
+    n = t.n
+    x, y = rnd.randrange(n), rnd.randrange(n)
+    rows[x][y] = rnd.choice([v for v in range(n) if v != rows[x][y]])
+    return CayleyTable(tuple(map(tuple, rows)))
+
+
+def test_light_scan_matches_full_scan_on_every_small_magma():
+    # n = 0 and n = 1 go straight to the full scan
+    tables = [CayleyTable(()), CayleyTable(((0,),))]
+    for n in (2, 3):
+        tables += [CayleyTable(tuple(flat[i:i + n]
+                                     for i in range(0, n * n, n)))
+                   for flat in product(range(n), repeat=n * n)]
+    assert len(tables) == 2 + 16 + 19_683
+    answers = assert_light_matches_full(tables)
+    assert answers[:2] == [None, None]
+    # 8 of the order-2 magmas and 113 of the order-3 ones are semigroups
+    assert answers.count(None) == 2 + 8 + 113
+
+
+def test_light_scan_matches_full_scan_on_semigroups_and_near_misses():
+    rnd = random.Random(24)
+    tables = list(enumerate_semigroups(4))
+    tables += [one_cell_changed(t, rnd) for t in tables]
+    tables += semigroup_representatives(5)
+    for n, p in ((2, 3), (2, 5), (3, 3)):
+        t = rank1_universe(n, p).table
+        tables += [t, one_cell_changed(t, rnd), one_cell_changed(t, rnd)]
+    answers = assert_light_matches_full(tables)
+    assert answers.count(None) >= 3492 + 1915 + 3
+    # failures whose y is no generator: Light's test finds the table
+    # non-associative at another y, and the full scan names the first
+    assert any(bad[1] not in _generators(t.rows)
+               for t, bad in zip(tables, answers) if bad is not None)
+
+
+def test_light_scan_on_bands_where_every_element_is_a_generator():
+    # x y = x (left zero) and x y = y (right zero): no product reaches a
+    # new element, so the generating set is all of S and the test is one
+    # full scan of rows
+    n = 40
+    left = CayleyTable(tuple((x,) * n for x in range(n)))
+    right = CayleyTable((tuple(range(n)),) * n)
+    for t in (left, right):
+        assert _generators(t.rows) == list(range(n))
+    assert assert_light_matches_full([left, right]) == [None, None]
+
+
+def test_generators_generate():
+    # the greedy set is small on the rank-1 universes, and closing it under
+    # the product gives every element
+    for n, p, count in ((1, 11, 3), (2, 3, 9), (2, 5, 13)):
+        rows = rank1_universe(n, p).table.rows
+        gens = _generators(rows)
+        assert len(gens) == count and gens == sorted(gens)
+        reached = set(gens)
+        while True:
+            more = {rows[m][g] for m in reached for g in gens} - reached
+            if not more:
+                break
+            reached |= more
+        assert reached == set(range(len(rows)))
 
 
 # -- laws -------------------------------------------------------------------

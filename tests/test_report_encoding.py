@@ -9,6 +9,7 @@ from semilab import cli
 from semilab.cli import _SLICE, _encode, _parts
 from semilab.embedding import ViolationListing, check_malcev_condition
 from semilab.finite import CayleyTable
+from semilab.rank1 import rank1_universe
 
 # escapes, '%' (the encoder fills %-templates) and non-ASCII, next to
 # arbitrary text
@@ -160,7 +161,8 @@ def test_parts_violation_listings_match_json_dumps():
 
 
 def test_parts_split_violation_blocks_longer_than_a_slice(monkeypatch):
-    # blocks of up to 26 rows, written 7 rows a part
+    # blocks of up to 26 rows, written in parts of 7 rows or more that
+    # end at a head, so a block is split
     monkeypatch.setattr(cli, "_SLICE", 7)
     rep = check_malcev_condition(_monogenic(3, 9))
     assert max(len(uvs) * len(anchors)
@@ -187,3 +189,26 @@ def test_parts_draw_a_violation_listing_one_slice_at_a_time():
     assert sum(drawn) == rep.violation_count
     assert text.split("\n") == json.dumps({"violations": rep.violations},
                                           indent=2).split("\n")
+
+
+def test_listing_parts_hold_whole_heads_of_about_a_slice(monkeypatch):
+    # rank1_universe(1, 11) has blocks of one anchor and blocks of eleven,
+    # and the monogenic table blocks of several anchors only; written with
+    # parts of 1, 7 and the default _SLICE rows, each listing is
+    # json.dumps's text, and every part but the last holds from _SLICE to
+    # fewer than _SLICE + n^2 rows
+    anchor_counts = []
+    for t in (rank1_universe(1, 11).table, _monogenic(4, 9)):
+        rep = check_malcev_condition(t)
+        anchor_counts.append({len(anchors) for _, _, anchors in rep.blocks()})
+        want = json.dumps(list(rep.iter_violations()), indent=2)
+        for size in (1, 7, _SLICE):
+            monkeypatch.setattr(cli, "_SLICE", size)
+            parts = list(_parts(ViolationListing(rep)))
+            assert "".join(parts) == want
+            # a row's closing "]" is the only one in its part
+            rows = [part.count("]") for part in parts[1:-1:2]]
+            assert sum(rows) == rep.violation_count
+            assert all(size <= k < size + t.n ** 2 for k in rows[:-1])
+            assert 0 < rows[-1] < size + t.n ** 2
+    assert anchor_counts[0] == {1, 11} and 1 not in anchor_counts[1]
