@@ -350,7 +350,7 @@ def _cmd_enumerate(args):
     tables = list(enumerate_semigroups(args.order))
     report = {"order": args.order, "count": len(tables)}
     if args.tables:
-        report["tables"] = [[list(row) for row in t.rows] for t in tables]
+        report["tables"] = [t.rows for t in tables]
     summary = [f"order {args.order}: {len(tables)} associative tables"]
     return report, summary, EXIT_OK
 

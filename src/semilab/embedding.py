@@ -23,6 +23,7 @@ a block of rows that share (a, b, c, d) at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress, islice, product, starmap
@@ -350,8 +351,12 @@ def check_malcev_condition(t: CayleyTable) -> MalcevReport:
     number |P_ab| * k and the violations, (P_ab - P_cd) x anchors,
     (|P_ab| - k) * k; summed over the systems of one (a, b), those are
     |P_ab| * K1 and |P_ab| * K1 - K2 with K1 and K2 the sums of k and k^2.
-    Each P_ab is one int mask, so a row of k is one C-side map of
-    ``&`` and ``int.bit_count`` over all the masks."""
+    Each P_ab is one int mask.  Equal masks give equal rows of k, and masks
+    repeat heavily (193 distinct of 21,025 for ``rank1_universe(2, 5)``),
+    so the sums run over distinct masks m with their weights w, the number
+    of (a, b) with P_ab = m: a row of k is one C-side map of ``&`` and
+    ``int.bit_count`` over the distinct masks, K1 and K2 are weighted by
+    the other mask's w, and the row adds w times its two terms."""
     if not is_associative(t):
         raise TableError("the quadruple condition is checked on semigroups; "
                          "table is not associative")
@@ -365,9 +370,12 @@ def check_malcev_condition(t: CayleyTable) -> MalcevReport:
     # bits x n + y of P_ab: for each x, the y with y b = x a, shifted to x
     masks = tuple(sum(masks_b[z] << x * n for x, z in enumerate(col_a))
                   for col_a in cols for masks_b in by_value)
+    weights = Counter(masks)
+    distinct, ws = tuple(weights), tuple(weights.values())
     checked = squares = 0
-    for m_ab in masks:
-        ks = list(map(int.bit_count, map(m_ab.__and__, masks)))
-        checked += m_ab.bit_count() * sum(ks)
-        squares += sum(map(mul, ks, ks))
+    for m_ab, w in weights.items():
+        ks = list(map(int.bit_count, map(m_ab.__and__, distinct)))
+        k_ws = list(map(mul, ks, ws))
+        checked += w * m_ab.bit_count() * sum(k_ws)
+        squares += w * sum(map(mul, ks, k_ws))
     return MalcevReport(checked, checked - squares, n, masks)

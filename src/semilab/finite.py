@@ -6,7 +6,9 @@ Generation is orderly: one backtracking search finds, for each isomorphism
 class, the table whose flattened entries are least among its conjugates
 (``semigroup_representatives``, orders up to 5).  The labelled tables
 (``enumerate_semigroups``, orders up to 4) are rebuilt from these by
-conjugating each with every permutation, deduplicating and sorting.
+conjugating each with every permutation, deduplicating and sorting.  Every
+table, the search's included, is built by ``CayleyTable``, which checks each
+entry once.
 
 Law naming follows the classical reversibility terminology, which is
 handedness-reversed relative to modern cancellativity; every report field is
@@ -51,14 +53,6 @@ class CayleyTable:
                 if not (type(v) is int and 0 <= v < n):
                     raise TableError(f"entry {v!r} is not an int in [0, {n})")
 
-    @classmethod
-    def _trusted(cls, rows: tuple) -> "CayleyTable":
-        """A table on ``rows``, square tuples of int entries in range by
-        construction, built without ``__post_init__``'s per-entry check."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "rows", rows)
-        return t
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -66,9 +60,6 @@ class CayleyTable:
     @cached_property
     def _associativity_failure(self):
         return _scan_associativity(self)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def transpose(self) -> "CayleyTable":
         return CayleyTable(tuple(zip(*self.rows)))
@@ -139,19 +130,14 @@ def _scan_associativity(t: CayleyTable):
                  = (xa)(bz)      b in T, at (xa, z)
                  = x(a(bz))      a in T, at (x, bz)
                  = x((ab)z)      b in T, at (a, z)
-    T holds A, so it holds everything A generates: all of S.  Only the
-    rows of y in A are compared, as in the full scan; if one differs, the
-    full scan runs to name the lexicographically first failing triple.
-    n <= 1 goes to the full scan, which alone handles that case."""
+    T holds A, so it holds everything A generates: all of S.  If some y in
+    A fails, or A is all of S, one scan over every y names the
+    lexicographically first failing triple."""
     rows = t.rows
-    if len(rows) <= 1:
-        return _full_associativity_scan(t)
-    for y in _generators(rows):
-        gy = itemgetter(*rows[y])
-        for rx in rows:
-            if rows[rx[y]] != gy(rx):
-                return _full_associativity_scan(t)
-    return None
+    gens = _generators(rows)
+    if len(gens) < len(rows) and _first_failure(rows, gens) is None:
+        return None
+    return _first_failure(rows, range(len(rows)))
 
 
 def _generators(rows) -> list:
@@ -186,21 +172,21 @@ def _generators(rows) -> list:
     return gens
 
 
-def _full_associativity_scan(t: CayleyTable):
-    """Compare, for each (x, y), the row z -> (xy)z, which is rows[xy], with
-    the row z -> x(yz), which ``itemgetter(*rows[y])`` reads out of rows[x]
-    in C.  Equal rows have no failing z, so the Python z-loop runs only where
-    they differ: at the first failing (x, y), to name its first z.  At n = 1
-    itemgetter returns an entry, not a row, so the comparison always differs
-    there and the z-loop alone decides."""
-    rows = t.rows
-    n = t.n
-    rng = range(n)
-    g = [itemgetter(*row) for row in rows]
+def _first_failure(rows, ys):
+    """The first (x, y, z), in the order of x, then y over ``ys``, then z,
+    with (xy)z != x(yz), or None.  For each (x, y) it compares the row
+    z -> (xy)z, which is rows[xy], with the row z -> x(yz), which
+    ``itemgetter(*rows[y])`` reads out of rows[x] in C.  Equal rows have no
+    failing z, so the Python z-loop runs only where they differ: at the
+    first failing (x, y), to name its first z.  At n = 1 itemgetter returns
+    an entry, not a row, so the comparison always differs there and the
+    z-loop alone decides."""
+    rng = range(len(rows))
+    g = [(y, itemgetter(*rows[y])) for y in ys]
     for x, rx in enumerate(rows):
-        for y in rng:
+        for y, gy in g:
             rxy = rows[rx[y]]
-            if rxy != g[y](rx):
+            if rxy != gy(rx):
                 ry = rows[y]
                 for z in rng:
                     if rxy[z] != rx[ry[z]]:
@@ -348,9 +334,8 @@ def decompose_right_group(t: CayleyTable) -> RightGroupDecomposition:
     e0 = idempotents[0]
     group_elements = tuple(s for s in rng if t.rows[s][e0] == s)
     lookup = {s: k for k, s in enumerate(group_elements)}
-    group_part = CayleyTable(tuple(
-        tuple(lookup[t.rows[x][y]] for y in group_elements)
-        for x in group_elements))
+    group_part = table_from_product(group_elements,
+                                    lambda x, y: t.rows[x][y])
     if not is_group(group_part):
         raise DecompositionError("structure", (e0, e0),
                                  "S e0 is not a group")
@@ -399,9 +384,7 @@ def enumerate_semigroups(n: int):
 
 
 def _table_of(flat, n: int) -> CayleyTable:
-    # the search fills every cell with an int in range(n)
-    return CayleyTable._trusted(tuple(flat[i:i + n]
-                                      for i in range(0, n * n, n)))
+    return CayleyTable(tuple(flat[i:i + n] for i in range(0, n * n, n)))
 
 
 def _conjugations(n: int) -> list:

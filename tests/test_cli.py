@@ -10,8 +10,7 @@ import pytest
 
 from semilab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser,
                          main)
-from semilab.finite import (CayleyTable, _full_associativity_scan,
-                            _generators)
+from semilab.finite import CayleyTable, _first_failure, _generators
 from semilab.rank1 import rank1_universe
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -242,7 +241,7 @@ def test_non_associative_table_names_a_y_outside_the_generators(tmp_path,
     rows[3][0] = 0
     t = CayleyTable(tuple(map(tuple, rows)))
     assert _generators(t.rows) == [0, 1]
-    assert _full_associativity_scan(t) == (1, 2, 0)
+    assert _first_failure(t.rows, range(t.n)) == (1, 2, 0)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 4, "table": rows}))
     for verb in ("laws", "malcev"):
@@ -376,6 +375,20 @@ def test_malcev_33_element_table_refused_exit2():
     assert proc.stderr == (
         f"error: {table}: 1604427264 violations of the quadruple condition, "
         "more than the 10000000 a report may list\n")
+
+
+def test_malcev_145_element_table_refused_exit2(tmp_path):
+    # rank1_universe(2, 5): 21,025 masks but 193 distinct ones, so the
+    # count over distinct masks refuses it in seconds inside a 256 MiB cap
+    # (counted over every mask, it ran for minutes)
+    table = tmp_path / "rank1-2-5.json"
+    table.write_text(json.dumps(rank1_universe(2, 5).table.to_json()))
+    proc = malcev_capped(table, limit=256 * 2**20)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {table}: 9849984480000 violations of the quadruple "
+        "condition, more than the 10000000 a report may list\n")
 
 
 def test_rank1_cell_bound_exit2(capsys):

@@ -500,6 +500,13 @@ def test_malcev_bitmasks_match_frozensets():
         assert list(rep.blocks()) == blocks
         if listed:
             assert list(rep.iter_violations()) == nested_loop_listing(blocks)
+    # masks that repeat with unequal weights, too many violations to list
+    # in a test: the counts alone
+    for n, p in ((2, 2), (1, 23)):
+        t = rank1_universe(n, p).table
+        rep = check_malcev_condition(t)
+        checked, count, _ = frozenset_malcev(t)
+        assert (rep.systems_checked, rep.violation_count) == (checked, count)
 
 
 def test_malcev_counts_the_33_element_table():

@@ -5,8 +5,9 @@ from math import factorial
 
 import pytest
 
+from semilab import finite
 from semilab.finite import (CayleyTable, DecompositionError, TableError,
-                            _full_associativity_scan, _generators,
+                            _first_failure, _generators,
                             _scan_associativity, associativity_failure,
                             check_laws, closure, decompose_right_group,
                             enumerate_semigroups, identity_of,
@@ -141,7 +142,7 @@ def assert_light_matches_full(tables):
     first failing triple or None, on every table; returns the answers."""
     answers = []
     for t in tables:
-        want = _full_associativity_scan(t)
+        want = _first_failure(t.rows, range(t.n))
         assert _scan_associativity(t) == want, t.rows
         answers.append(want)
     return answers
@@ -362,14 +363,26 @@ def test_enumerate_order3_matches_brute_filter():
 
 
 def test_generated_tables_pass_the_public_check():
-    # the generators build their tables without the per-entry check; each
-    # must equal the table the checking constructor makes of its rows
+    # each table the generators build must equal the table the checking
+    # constructor makes of its rows
     for t in chain(*map(enumerate_semigroups, (1, 2, 3, 4)),
                    semigroup_representatives(5)):
         checked = CayleyTable(t.rows)
         assert t == checked and hash(t) == hash(checked)
         assert type(t.rows) is tuple
         assert all(type(row) is tuple for row in t.rows)
+
+
+def test_searched_tables_pass_the_public_check(monkeypatch):
+    # a search that produced an entry out of range would be refused by
+    # CayleyTable's own check, not handed on as a table; -1 survives the
+    # conjugations, which index permutations with it
+    monkeypatch.setattr(finite, "_lex_least_tables",
+                        lambda n: iter([(0, 0, 0, -1)]))
+    with pytest.raises(TableError):
+        list(enumerate_semigroups(2))
+    with pytest.raises(TableError):
+        next(semigroup_representatives(2))
 
 
 def full_rescan_semigroups(n):
