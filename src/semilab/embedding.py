@@ -351,12 +351,12 @@ def check_malcev_condition(t: CayleyTable) -> MalcevReport:
     number |P_ab| * k and the violations, (P_ab - P_cd) x anchors,
     (|P_ab| - k) * k; summed over the systems of one (a, b), those are
     |P_ab| * K1 and |P_ab| * K1 - K2 with K1 and K2 the sums of k and k^2.
-    Each P_ab is one int mask.  Equal masks give equal rows of k, and masks
-    repeat heavily (193 distinct of 21,025 for ``rank1_universe(2, 5)``),
-    so the sums run over distinct masks m with their weights w, the number
-    of (a, b) with P_ab = m: a row of k is one C-side map of ``&`` and
-    ``int.bit_count`` over the distinct masks, K1 and K2 are weighted by
-    the other mask's w, and the row adds w times its two terms."""
+    Each P_ab is one int mask, and equal masks give equal rows of k.
+    Masks repeat heavily (193 distinct of 21,025 for
+    ``rank1_universe(2, 5)``), so the sums run over the distinct masks,
+    each weighted by the number w of (a, b) that share it: a row of k is
+    one C-side map of ``&`` and ``int.bit_count`` over the distinct masks,
+    and its K1 and K2 sum k and k^2 times the other mask's w."""
     if not is_associative(t):
         raise TableError("the quadruple condition is checked on semigroups; "
                          "table is not associative")
