@@ -26,8 +26,12 @@ completion reduces with it, keeping each trace as a proof, and
 order.  Between rule changes completion hands it a memo of the sweeps it has
 already run, so a sweep repeated from the same string is looked up, not
 redone.  One overlap generator, ``_overlap_results``, serves completion and
-``critical_pairs``.  One word acceptor, ``_Acceptor``, tells which words
-are a confluent system's normal forms, and two walks read it:
+``critical_pairs``.  Completion keeps no list of critical pairs: it takes
+them rule by rule in the order the rules were added, reading each rule's
+partners off the live rules when its turn comes, so its memory grows with
+the live rules, not with their pairs.  One word acceptor, ``_Acceptor``,
+tells which words are a confluent system's normal forms, and two walks
+read it:
 ``_irreducible_strings`` lists them packed, in shortlex order, and
 ``_normal_form_counts`` counts them by length without listing one.
 ``iter_elements`` and ``enumerate_elements`` decode the listing, one word
@@ -179,10 +183,15 @@ def _reduce(s, rules, memo=None):
 def _overlap_results(li: str, ri: str, lj: str, rj: str):
     """For each proper overlap of rules li -> ri and lj -> rj, a suffix of
     li of length k that is a prefix of lj, longest first: k and the overlap
-    word li + lj[k:] rewritten by the first rule and by the second."""
-    for k in range(min(len(li), len(lj)) - 1, 0, -1):
-        if lj.startswith(li[-k:]):
-            yield k, ri + lj[k:], li[:-k] + rj
+    word li + lj[k:] rewritten by the first rule and by the second.  Only a
+    suffix that starts with lj[0] can be one, so ``str.find`` jumps to
+    those starts, leftmost (longest) first."""
+    n = len(li)
+    pos = li.find(lj[0], max(1, n - len(lj) + 1)) if lj else -1
+    while pos != -1:
+        if lj.startswith(li[pos:]):
+            yield n - pos, ri + lj[n - pos:], li[:pos] + rj
+        pos = li.find(lj[0], pos + 1)
 
 
 def _orient(a: str, b: str):
@@ -195,10 +204,16 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 max_len: int = DEFAULT_MAX_RULE_LEN) -> RewriteSystem:
     """Knuth-Bendix completion under shortlex, with budgets.
 
-    Relations are oriented and critical pairs resolved FIFO (shortest
-    overlap word first on ties) until no unresolved pair remains, or until
-    more than ``max_rules`` rules have been added or a rule side would
-    exceed ``max_len`` letters; ``budget_hit`` names the one that tripped.
+    Relations are oriented and critical pairs resolved until no unresolved
+    pair remains, or until more than ``max_rules`` rules have been added or
+    a rule side would exceed ``max_len`` letters; ``budget_hit`` names the
+    one that tripped.  The pairs are taken rule by rule, in the order the
+    rules were added: rule k's turn comes after every older rule's, and
+    for each live rule j < k in index order it takes (k, j) and then (j,
+    k), and last (k, k); a pair's overlaps are taken longest first.  No
+    list of pairs is kept: a cursor over the rule indices reads rule k's
+    partners off the live rules when its turn comes, and a pair whose
+    rule has died since is skipped.
     The returned system is interreduced either way: each new lhs is
     reduced, the rules whose lhs contains it die, the rhs that contain it
     are reduced again, and a budget stop changes nothing, so the live
@@ -217,7 +232,6 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     rules = {}
     n_added = 0
     budget_hit = None
-    tasks = deque()     # rule-index pairs whose overlaps are unexamined
     pending = deque()   # (a, b, parts): equations and the proofs of a = b
     prov = _Provenance()
     sweeps = {}         # _reduce's memo, valid while ``rules`` is unchanged
@@ -252,24 +266,38 @@ def kb_complete(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 elif l in ri:
                     ri, trace = _reduce(ri, rules.values())
                     rules[i] = (li, ri, prov.add([(vi, 0, True)] + trace))
-            # k is new, so none of its pairs has been queued before
-            for j in rules:
-                tasks.extend(((k, j), (j, k)) if j != k else ((k, k),))
         return True
+
+    def pairs():
+        # rule k's turn comes after every older rule's; its partners are
+        # the live rules up to k, read off ``rules`` (whose keys ascend)
+        # when the turn comes, as no rule comes back to life
+        k = 0
+        while k < n_added:
+            if k in rules:
+                for j in list(rules):
+                    if j == k:
+                        yield k, k
+                        break
+                    yield k, j
+                    yield j, k
+            k += 1
 
     for idx, rel in enumerate(p.relations):
         pending.append((_enc(rel.lhs), _enc(rel.rhs), [(~idx, 0, True)]))
-    ok = process_pending()
-
-    while ok and tasks:
-        i, j = tasks.popleft()
-        if i not in rules or j not in rules:
-            continue
-        li, ri, vi = rules[i]
-        lj, rj, vj = rules[j]
-        for k, a, b in _overlap_results(li, ri, lj, rj):
-            pending.append((a, b, [(vi, 0, False), (vj, len(li) - k, True)]))
-        ok = process_pending()
+    if process_pending():
+        for i, j in pairs():
+            if i not in rules or j not in rules:
+                continue
+            li, ri, vi = rules[i]
+            lj, rj, vj = rules[j]
+            if li.find(lj[0], 1) < 0:     # no suffix of li starts lj
+                continue
+            for k, a, b in _overlap_results(li, ri, lj, rj):
+                pending.append((a, b, [(vi, 0, False),
+                                       (vj, len(li) - k, True)]))
+            if pending and not process_pending():
+                break
 
     live = sorted(rules.values(), key=lambda lrv: _sl_key(lrv[0]))
     prov.final = tuple(v for _, _, v in live)
