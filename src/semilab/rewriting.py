@@ -187,7 +187,7 @@ def _overlap_results(li: str, ri: str, lj: str, rj: str):
     suffix that starts with lj[0] can be one, so ``str.find`` jumps to
     those starts, leftmost (longest) first."""
     n = len(li)
-    pos = li.find(lj[0], max(1, n - len(lj) + 1)) if lj else -1
+    pos = li.find(lj[0], max(1, n - len(lj) + 1))
     while pos != -1:
         if lj.startswith(li[pos:]):
             yield n - pos, ri + lj[n - pos:], li[:pos] + rj

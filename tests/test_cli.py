@@ -339,15 +339,15 @@ def test_bad_params_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def malcev_capped(table, limit=128 * 2**20):
-    """``semilab malcev table`` in a subprocess whose address space is
-    capped at ``limit`` bytes (RLIMIT_AS)."""
+def semilab_capped(*argv, limit=128 * 2**20):
+    """``semilab argv...`` in a subprocess whose address space is capped
+    at ``limit`` bytes (RLIMIT_AS)."""
     resource = pytest.importorskip("resource")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    return subprocess.run([sys.executable, "-m", "semilab", "malcev",
-                           str(table)], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", "semilab",
+                           *map(str, argv)], capture_output=True, text=True,
                           preexec_fn=cap_memory, timeout=60)
 
 
@@ -357,7 +357,7 @@ def test_malcev_listing_too_large_exit2(tmp_path):
     # address-space cap (RLIMIT_AS) that listing them would overrun
     table = tmp_path / "rank1-1-23.json"
     table.write_text(json.dumps(rank1_universe(1, 23).table.to_json()))
-    proc = malcev_capped(table)
+    proc = semilab_capped("malcev", table)
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -369,7 +369,7 @@ def test_malcev_33_element_table_refused_exit2():
     # rank1_universe(2, 3): 1,604,427,264 violations, counted on bitmasks
     # in a fraction of a second and well inside a 128 MiB cap
     table = INPUTS / "rank1-2-3.json"
-    proc = malcev_capped(table)
+    proc = semilab_capped("malcev", table)
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -383,12 +383,30 @@ def test_malcev_145_element_table_refused_exit2(tmp_path):
     # (counted over every mask, it ran for minutes)
     table = tmp_path / "rank1-2-5.json"
     table.write_text(json.dumps(rank1_universe(2, 5).table.to_json()))
-    proc = malcev_capped(table, limit=256 * 2**20)
+    proc = semilab_capped("malcev", table, limit=256 * 2**20)
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert proc.stderr == (
         f"error: {table}: 9849984480000 violations of the quadruple "
         "condition, more than the 10000000 a report may list\n")
+
+
+def test_kb_max_rules_2000_in_bounded_memory(tmp_path):
+    # completing b4 to 2,000 rules meets 3.3 million critical pairs;
+    # completion reads them off the live rules instead of queueing them,
+    # so the run ends at its rule budget well inside a 128 MiB cap (it
+    # peaks near 20 MiB; a queue of every pair peaked at 246 MiB and died
+    # of MemoryError here)
+    b4 = tmp_path / "b4.pres"
+    b4.write_text("letters: a b c\nrel: a b a = b a b\nrel: b c b = c b c\n"
+                  "rel: c a = a c\n")
+    proc = semilab_capped("kb", b4, "--max-rules", "2000")
+    assert proc.returncode == EXIT_BUDGET
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["budget_hit"] == "max_rules"
+    # the report of the same run without a cap
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "89e380b35585983ff14ec20702f6379fbbc639fc21036d52eaeca619819c7ef4")
 
 
 def test_rank1_cell_bound_exit2(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from itertools import product
 
@@ -16,7 +17,8 @@ from semilab.rewriting import (BUDGET_EXHAUSTED, CONFLUENT, DISTINCT, EQUAL,
                                reduce, reduce_with_trace, replay_derivation,
                                rule_derivation, shortlex_less,
                                verify_confluence, _enc,
-                               _normal_form_counts, _reduce)
+                               _normal_form_counts, _overlap_results,
+                               _reduce)
 
 
 def pres(text):
@@ -36,6 +38,23 @@ B3 = pres("letters: a b\nrel: a b a = b a b")
 TRACE = pres("letters: a b c d\nrel: b a = a b\nrel: d c = c d")
 # Z3 x N: rules b a -> a b and a a a -> 1, two lhs lengths
 Z3N = pres("letters: a b\nrel: a a a = 1\nrel: b a = a b")
+B4 = pres("letters: a b c\nrel: a b a = b a b\nrel: b c b = c b c\n"
+          "rel: c a = a c")
+
+
+def coxeter_a(n):
+    """The Coxeter presentation of S_{n+1}: s_i s_i = 1 for each i, then
+    for i < j the braid relation when j = i + 1, and s_j s_i = s_i s_j
+    otherwise."""
+    rels = [f"rel: s{i} s{i} = 1" for i in range(1, n + 1)]
+    rels += [f"rel: s{i} s{j} s{i} = s{j} s{i} s{j}" if j == i + 1
+             else f"rel: s{j} s{i} = s{i} s{j}"
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return pres("letters: " + " ".join(f"s{i}" for i in range(1, n + 1))
+                + "\n" + "\n".join(rels))
+
+
+S9 = coxeter_a(8)
 
 # relation sides for random presentations: up to four letter ids each
 SIDES = st.lists(st.integers(0, 2), max_size=4)
@@ -151,6 +170,29 @@ def test_critical_pairs_match_brute_force():
         Rule(IDEM.word("a a a"), IDEM.word("a"))), CONFLUENT))
     for rs in systems:
         assert sorted(critical_pairs(rs)) == brute_critical_pairs(rs)
+
+
+@given(st.data())
+def test_overlap_results_match_per_length_definition(data):
+    # packed words over one to three letters; equal words, single letters,
+    # prefixes and words that start with a suffix of li are drawn on purpose
+    letters = _enc(pres("letters: a b c").alphabet)
+    words = st.text(alphabet=letters[:data.draw(st.integers(1, 3))],
+                    min_size=1, max_size=8)
+    li = data.draw(words)
+    cut = data.draw(st.integers(0, len(li)))
+    lj = data.draw(st.one_of(words, st.just(li), st.just(li[-1]),
+                             st.just(li[:cut] or li),
+                             words.map(lambda w: li[cut:] + w)))
+    ri, rj = data.draw(st.lists(st.text(alphabet=letters, max_size=3),
+                                min_size=2, max_size=2))
+    expected = [(k, ri + lj[k:], li[:-k] + rj)
+                for k in range(min(len(li), len(lj)) - 1, 0, -1)
+                if lj.startswith(li[-k:])]
+    assert list(_overlap_results(li, ri, lj, rj)) == expected
+    # completion skips a pair on this test before asking for its overlaps
+    if li.find(lj[0], 1) < 0:
+        assert expected == []
 
 
 def test_verify_confluence_reports_unresolved_pairs():
@@ -516,6 +558,34 @@ def test_kb_budget_exhausted_rule_lists_golden(p, budgets, count, digest):
     assert rule_list_digest(rs) == digest
     assert_interreduced(rs)
     assert_rules_replay(rs)
+
+
+def proof_digest(rs):
+    prov = rs.provenance
+    blob = json.dumps([prov.proofs, prov.final])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# the proofs completion kept, pinned: the kb report carries only rules, so
+# nothing else pins the proofs a budget-exhausted run expands certificates
+# from.  The rule-list digests are rule_list_digest's
+GOLDEN_PROOFS = [
+    (B3, {}, "f9498c22db323467", "9fc0f0dd6cd68f05"),
+    (B4, {}, "9b4fa8810e0c819f", "45d046ed0f1eb841"),
+    (build_gm(B3), {"max_rules": 300},
+     "13163ff2063d3489", "185478f8e65bd038"),
+    (S9, {}, "902fc07ded43b8f8", "27017fa723bc61e5"),
+    (build_gm(QUAD), {}, "a6b50c7cbbb95f08", "2e6bcdd3ac48cde2"),
+    (B3, {"max_len": 6}, "fcce6bbc78d3ba06", "308b3853d99ca2d8"),
+    (build_gm(B3), {"max_rules": 40}, "96e87506247c6729", "c7d4584b3b3c0a12"),
+    (build_gm(B3), {"max_rules": 1}, "e71166a34fea7c06", "bbc8a23ed022d4d0"),
+]
+
+
+@pytest.mark.parametrize("p, budgets, rules, proofs", GOLDEN_PROOFS)
+def test_kb_proofs_golden(p, budgets, rules, proofs):
+    rs = kb_complete(p, **budgets)
+    assert (rule_list_digest(rs), proof_digest(rs)) == (rules, proofs)
 
 
 MEMO_SYSTEMS = [kb_complete(p) for p in CORPUS] + \
