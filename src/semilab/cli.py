@@ -12,7 +12,10 @@ Verbs:
 Every verb emits one deterministic JSON report: to stdout, or to --out with
 a short summary on stdout instead.  A verb's handler returns the report,
 the summary lines and the exit code; ``main`` adds the verb's name and
-writes the report.  The report bytes are exactly those of
+writes the report.  The argument parser is built once, when the module is
+imported, and binds each verb to its handler then; ``main`` parses every
+argv with that one parser, so a process that calls it many times pays for
+the parser once.  The report bytes are exactly those of
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.  They are
 written as they are encoded: ``_parts`` yields the text a dict key or a
 slice of a list at a time, with the joins done in C, and a generator in the
@@ -27,13 +30,17 @@ MAX_LISTED_VIOLATIONS violations.  Exit codes: 0 the analysis completed
 (finding a collision or a law failure is a completed analysis), 2 bad input
 or parameters (an --out path that cannot be written and a malcev listing
 too large to write included), 3 a search budget ran out before the answer
-was settled (a partial report is still written).
+was settled (a partial report is still written).  An --out path whose
+directory is missing, or that names a directory, is refused before the
+analysis runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -239,6 +246,20 @@ def _gather(pairs):
         yield texts
 
 
+def _check_out(out_path: str) -> None:
+    """Refuse ``out_path`` before any analysis runs when opening it for
+    writing must fail: it names a directory, or its directory cannot be
+    reached.  The message is the one opening it gives.  Nothing is created
+    or truncated; other failures (permissions, a full disk) are left to
+    ``_emit``."""
+    if os.path.isdir(out_path):
+        raise _InputError(f"{out_path}: {os.strerror(errno.EISDIR)}")
+    try:
+        os.stat(os.path.dirname(out_path) or ".")
+    except OSError as exc:
+        raise _InputError(f"{out_path}: {exc.strerror or exc}") from None
+
+
 def _emit(report: dict, summary, out_path):
     """Write the report as it is encoded, part by part, to ``out_path``
     (then print the summary) or to stdout."""
@@ -255,8 +276,9 @@ def _emit(report: dict, summary, out_path):
         sys.stdout.writelines(parts)
 
 
-# Each handler returns (report, summary lines, exit code).  The library
-# functions it calls are looked up in this module when it runs, so a
+# Each handler returns (report, summary lines, exit code).  The parser,
+# built at import, binds the handlers themselves; the library functions a
+# handler calls are still looked up in this module when it runs, so a
 # wrapper installed here sees the call.
 
 def _cmd_laws(args):
@@ -412,13 +434,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls: each returns a new Namespace, no
+# action has a mutable default, and help and errors are printed to the
+# sys.stdout and sys.stderr of the moment
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
+        if args.out:
+            _check_out(args.out)
         report, summary, code = args.run(args)
         report["verb"] = args.verb
         _emit(report, summary, args.out)

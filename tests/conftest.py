@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 try:
@@ -8,6 +11,27 @@ try:
     settings.load_profile("repeatable")
 except ImportError:
     pass
+
+
+
+@pytest.fixture
+def semilab_capped():
+    """``semilab_capped(*argv, limit_mib=128)`` runs ``semilab argv...`` in a
+    subprocess whose address space is capped at ``limit_mib`` MiB
+    (RLIMIT_AS), and returns the completed process with its stdout and
+    stderr as text."""
+    resource = pytest.importorskip("resource")
+
+    def run(*argv, limit_mib=128):
+        limit = limit_mib * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        return subprocess.run([sys.executable, "-m", "semilab",
+                               *map(str, argv)], capture_output=True,
+                              text=True, preexec_fn=cap_memory, timeout=60)
+    return run
+
 
 # one summary line per acceptance check, keyed by test function name
 ACCEPTANCE_LINES = {

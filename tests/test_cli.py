@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from semilab import cli
 from semilab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser,
                          main)
 from semilab.finite import CayleyTable, _first_failure, _generators
+from semilab.presentations import (build_gm, format_presentation,
+                                   parse_presentation_text)
 from semilab.rank1 import rank1_universe
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -31,6 +34,10 @@ rel: b' b = 1
 """
 
 Z3_TABLE = {"n": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+
+B3_TEXT = "letters: a b\nrel: a b a = b a b\n"
+B4_TEXT = ("letters: a b c\nrel: a b a = b a b\nrel: b c b = c b c\n"
+           "rel: c a = a c\n")
 
 
 @pytest.fixture
@@ -171,7 +178,7 @@ def test_kb_budget_exhaustion_exit3(tmp_path, capsys):
 
 def test_kb_names_the_budget_hit(tmp_path, quad, capsys):
     path = tmp_path / "b3.pres"
-    path.write_text("letters: a b\nrel: a b a = b a b\n")
+    path.write_text(B3_TEXT)
     code, rep = run_json(capsys, ["kb", str(path)])
     assert code == EXIT_BUDGET and rep["budget_hit"] == "max_rule_len"
     code, rep = run_json(capsys, ["kb", str(path), "--max-rules", "5"])
@@ -339,19 +346,29 @@ def test_bad_params_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def semilab_capped(*argv, limit=128 * 2**20):
-    """``semilab argv...`` in a subprocess whose address space is capped
-    at ``limit`` bytes (RLIMIT_AS)."""
-    resource = pytest.importorskip("resource")
+@pytest.mark.parametrize("target, reason", [
+    ("no-dir/out.json", "No such file or directory"),
+    ("a-dir", "Is a directory")])
+def test_unusable_out_refused_before_the_analysis(tmp_path, capsys,
+                                                  monkeypatch, target,
+                                                  reason):
+    # the --out check runs before completion, which would otherwise run
+    # to its budget first (2 s on gb3) and then fail to open the path
+    def not_called(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+    monkeypatch.setattr(cli, "kb_complete", not_called)
+    (tmp_path / "a-dir").mkdir()
+    out = tmp_path / target
+    argv = ["kb", str(INPUTS / "quadruple.pres"), "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: {reason}\n"
+    # nothing was created
+    assert [p.name for p in tmp_path.rglob("*")] == ["a-dir"]
 
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    return subprocess.run([sys.executable, "-m", "semilab",
-                           *map(str, argv)], capture_output=True, text=True,
-                          preexec_fn=cap_memory, timeout=60)
 
-
-def test_malcev_listing_too_large_exit2(tmp_path):
+def test_malcev_listing_too_large_exit2(tmp_path, semilab_capped):
     # rank1_universe(1, 23) has 12,022,560 violations, about 1 GB of report:
     # the count refuses it before a byte is written, well inside a 128 MiB
     # address-space cap (RLIMIT_AS) that listing them would overrun
@@ -365,7 +382,7 @@ def test_malcev_listing_too_large_exit2(tmp_path):
         "more than the 10000000 a report may list\n")
 
 
-def test_malcev_33_element_table_refused_exit2():
+def test_malcev_33_element_table_refused_exit2(semilab_capped):
     # rank1_universe(2, 3): 1,604,427,264 violations, counted on bitmasks
     # in a fraction of a second and well inside a 128 MiB cap
     table = INPUTS / "rank1-2-3.json"
@@ -377,13 +394,14 @@ def test_malcev_33_element_table_refused_exit2():
         "more than the 10000000 a report may list\n")
 
 
-def test_malcev_145_element_table_refused_exit2(tmp_path):
+def test_malcev_145_element_table_refused_exit2(tmp_path,
+                                                semilab_capped):
     # rank1_universe(2, 5): 21,025 masks but 193 distinct ones, so the
     # count over distinct masks refuses it in seconds inside a 256 MiB cap
     # (counted over every mask, it ran for minutes)
     table = tmp_path / "rank1-2-5.json"
     table.write_text(json.dumps(rank1_universe(2, 5).table.to_json()))
-    proc = semilab_capped("malcev", table, limit=256 * 2**20)
+    proc = semilab_capped("malcev", table, limit_mib=256)
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -391,15 +409,14 @@ def test_malcev_145_element_table_refused_exit2(tmp_path):
         "condition, more than the 10000000 a report may list\n")
 
 
-def test_kb_max_rules_2000_in_bounded_memory(tmp_path):
+def test_kb_max_rules_2000_in_bounded_memory(tmp_path, semilab_capped):
     # completing b4 to 2,000 rules meets 3.3 million critical pairs;
     # completion reads them off the live rules instead of queueing them,
     # so the run ends at its rule budget well inside a 128 MiB cap (it
     # peaks near 20 MiB; a queue of every pair peaked at 246 MiB and died
     # of MemoryError here)
     b4 = tmp_path / "b4.pres"
-    b4.write_text("letters: a b c\nrel: a b a = b a b\nrel: b c b = c b c\n"
-                  "rel: c a = a c\n")
+    b4.write_text(B4_TEXT)
     proc = semilab_capped("kb", b4, "--max-rules", "2000")
     assert proc.returncode == EXIT_BUDGET
     assert "Traceback" not in proc.stderr
@@ -407,6 +424,56 @@ def test_kb_max_rules_2000_in_bounded_memory(tmp_path):
     # the report of the same run without a cap
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         "89e380b35585983ff14ec20702f6379fbbc639fc21036d52eaeca619819c7ef4")
+
+
+# inputs of the memory contract, built at test time
+CONTRACT_INPUTS = {
+    # the order-400 left-zero band: x y = x, a 757 KB table
+    "band-400.json": lambda: json.dumps(
+        {"n": 400, "table": [[x] * 400 for x in range(400)]}),
+    "b3.pres": lambda: B3_TEXT,
+    "b4.pres": lambda: B4_TEXT,
+    "gb3.pres": lambda: format_presentation(
+        build_gm(parse_presentation_text(B3_TEXT))),
+}
+
+# argv ("@" names a CONTRACT_INPUTS file), exit code, and the budget the
+# report names when the exit is 3
+MEMORY_CONTRACT = (
+    (("laws", "@band-400.json"), EXIT_OK, None),
+    (("kb", "@gb3.pres"), EXIT_BUDGET, "max_rules"),
+    (("kb", "@b3.pres"), EXIT_BUDGET, "max_rule_len"),
+    (("rank1", "--n", "1", "--p", "509"), EXIT_OK, None),
+    # 6,560 nonzero matrices, over rank1.MAX_MATRICES
+    (("rank1", "--n", "4", "--p", "3"), EXIT_INPUT, None),
+    (("enumerate", "--order", "4", "--tables"), EXIT_OK, None),
+    # over enumerate's order cap
+    (("enumerate", "--order", "5"), EXIT_INPUT, None),
+    (("build-gm", "@b4.pres"), EXIT_OK, None),
+)
+
+
+@pytest.mark.parametrize("argv, code, budget", MEMORY_CONTRACT,
+                         ids=[" ".join(row[0]) for row in MEMORY_CONTRACT])
+def test_memory_contract(tmp_path, semilab_capped, argv, code, budget):
+    # every verb finishes inside a 256 MiB address space, or reports the
+    # budget or bound that stopped it, with no traceback
+    for arg in argv:
+        if arg.startswith("@"):
+            (tmp_path / arg[1:]).write_text(CONTRACT_INPUTS[arg[1:]]())
+    proc = semilab_capped(*(tmp_path / a[1:] if a.startswith("@") else a
+                            for a in argv), limit_mib=256)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") <= 1
+    if code == EXIT_INPUT:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+    else:
+        report = json.loads(proc.stdout)
+        assert report["verb"] == argv[0]
+        if code == EXIT_BUDGET:
+            assert report["budget_hit"] == budget
 
 
 def test_rank1_cell_bound_exit2(capsys):
@@ -465,6 +532,35 @@ def test_verb_option_sets():
                    [a.dest]} for verb, sp in verbs.items()} == VERB_OPTIONS
 
 
+def test_main_builds_no_parser(monkeypatch, z3, capsys):
+    # the parser is built once, when the module is imported; main only
+    # parses with it
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["laws", z3], ["kb", "--help"], ["no-such-verb"]):
+        main(argv)
+    capsys.readouterr()
+    assert made == []
+
+
+def test_no_action_has_a_mutable_default():
+    # one parser serves every call, so a list, dict or set default would
+    # carry what one call added into the next
+    verbs, = (a.choices for a in cli._PARSER._actions
+              if isinstance(a, argparse._SubParsersAction))
+    bad = [(p.prog, name)
+           for p in (cli._PARSER, *verbs.values())
+           for name, default in [*((a.dest, a.default) for a in p._actions),
+                                 *p._defaults.items()]
+           if isinstance(default, (list, dict, set))]
+    assert bad == []
+
+
 # -- determinism ------------------------------------------------------------------
 
 def test_reports_byte_identical(quad, z3, tmp_path):
@@ -519,16 +615,56 @@ GOLDEN_REPORTS = {
 }
 
 
-def test_reports_match_golden_digests(tmp_path, capsys):
+def golden_paths(tmp_path):
+    """"@name" -> the path GOLDEN_REPORTS means by it, with the rank-1
+    tables written under ``tmp_path``."""
     paths = {f"@{f.name}": str(f) for f in INPUTS.iterdir()}
     for n, p in ((1, 5), (1, 11)):
         path = tmp_path / f"rank1-{n}-{p}.json"
         path.write_text(json.dumps(rank1_universe(n, p).table.to_json()))
         paths[f"@rank1-{n}-{p}"] = str(path)
+    return paths
+
+
+def test_reports_match_golden_digests(tmp_path, capsys):
+    paths = golden_paths(tmp_path)
     for argv, digest in GOLDEN_REPORTS.items():
         assert main([paths.get(a, a) for a in argv]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    # refusals, help and an unknown verb leave nothing behind in the one
+    # parser: the reports that follow, of verbs in turn, keep their bytes
+    paths = golden_paths(tmp_path)
+    assert main(["probe", paths["@quadruple.pres"], "--max-len", "x"]) \
+        == EXIT_INPUT
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: semilab")
+    assert main(["no-such-verb"]) == EXIT_INPUT
+    assert "invalid choice" in capsys.readouterr().err
+    rounds = ((("probe", "@quadruple.pres", "--max-len", "4"),
+               ("kb", "@quadruple.pres"), ("laws", "@z3.json"),
+               ("malcev", "@rank1-1-5")),
+              (("probe", "@trace-abcd.pres", "--max-len", "8"),
+               ("kb", "@quadruple.pres"), ("laws", "@left-zero-2.json"),
+               ("malcev", "@z3.json")),
+              (("probe", "@quadruple.pres", "--max-len", "3"),
+               ("kb", "@quadruple.pres"), ("laws", "@z3.json"),
+               ("malcev", "@left-zero-2.json")))
+    for argvs in rounds:
+        for argv in argvs:
+            assert main([paths.get(a, a) for a in argv]) == EXIT_OK, argv
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == \
+                GOLDEN_REPORTS[argv], argv
+        assert main(["rank1", "--n", "2"]) == EXIT_INPUT
+        capsys.readouterr()
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out == help_text
 
 
 def test_out_writes_stdout_bytes(quad, z3, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import json
-import subprocess
 import sys
 import time
 from itertools import chain, islice, product
@@ -332,27 +331,13 @@ def test_probe_fallback_budget_is_global():
     assert rep.inconclusive[0] == (FREE2.word("1"), FREE2.word("a"))
 
 
-def semilab_probe(name, max_len, *options, limit_mib=512):
-    """``semilab probe`` run in a subprocess whose address space is capped
-    at ``limit_mib`` MiB (RLIMIT_AS), so a probe that lists too much fails
-    fast."""
-    resource = pytest.importorskip("resource")
-    limit = limit_mib * 2**20
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    return subprocess.run(
-        [sys.executable, "-m", "semilab", "probe", str(INPUTS / name),
-         "--max-len", str(max_len), *options],
-        capture_output=True, text=True, preexec_fn=cap_memory, timeout=60)
-
-
-def test_probe_free_monoid_length_15_in_bounded_memory():
+def test_probe_free_monoid_length_15_in_bounded_memory(semilab_capped):
     # 21,523,360 elements: listed, they would take about 5.6 GB (by
     # extrapolation from shorter lengths); counted, the run fits in the
     # 512 MiB cap
     start = time.perf_counter()
-    proc = semilab_probe("free-abc.pres", 15)
+    proc = semilab_capped("probe", INPUTS / "free-abc.pres", "--max-len", 15,
+                          limit_mib=512)
     assert time.perf_counter() - start < 5
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -360,13 +345,13 @@ def test_probe_free_monoid_length_15_in_bounded_memory():
     assert report["element_count"] == 21_523_360
 
 
-def test_probe_fallback_draws_elements_lazily():
+def test_probe_fallback_draws_elements_lazily(semilab_capped):
     # max_rules=1 sends free-abc down the per-pair search; its 100,000-word
     # budget runs out after 74 searches, which reach 75 of the 797,161
     # elements up to length 12.  Listing all of them peaked at 183 MiB,
     # past this 128 MiB cap.
-    proc = semilab_probe("free-abc.pres", 12, "--max-rules", "1",
-                         limit_mib=128)
+    proc = semilab_capped("probe", INPUTS / "free-abc.pres", "--max-len", 12,
+                          "--max-rules", 1)
     assert proc.returncode == 3, proc.stderr
     report = json.loads(proc.stdout)
     assert report["status"] == "inconclusive"
@@ -376,11 +361,12 @@ def test_probe_fallback_draws_elements_lazily():
     assert report["budget_spent"]["words_visited"] == 100_000
 
 
-def test_probe_count_too_long_to_print_exit2():
+def test_probe_count_too_long_to_print_exit2(semilab_capped):
     # free-abc's count passes 4,300 digits at about length 9,013; the
     # probe stops counting there and refuses it, with no traceback
     start = time.perf_counter()
-    proc = semilab_probe("free-abc.pres", 10_000)
+    proc = semilab_capped("probe", INPUTS / "free-abc.pres", "--max-len",
+                          10_000, limit_mib=512)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert proc.stdout == ""
