@@ -248,14 +248,15 @@ def _gather(pairs):
 
 def _check_out(out_path: str) -> None:
     """Refuse ``out_path`` before any analysis runs when opening it for
-    writing must fail: it names a directory, or its directory cannot be
-    reached.  The message is the one opening it gives.  Nothing is created
-    or truncated; other failures (permissions, a full disk) are left to
-    ``_emit``."""
+    writing must fail: it names a directory, or its directory is missing or
+    not a directory.  The message is the one opening it gives.  Nothing is
+    created or truncated; other failures (permissions, a full disk) are left
+    to ``_emit``."""
     if os.path.isdir(out_path):
         raise _InputError(f"{out_path}: {os.strerror(errno.EISDIR)}")
     try:
-        os.stat(os.path.dirname(out_path) or ".")
+        # "." inside the directory: a file there fails as ENOTDIR
+        os.stat(os.path.join(os.path.dirname(out_path), "."))
     except OSError as exc:
         raise _InputError(f"{out_path}: {exc.strerror or exc}") from None
 

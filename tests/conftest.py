@@ -13,7 +13,6 @@ except ImportError:
     pass
 
 
-
 @pytest.fixture
 def semilab_capped():
     """``semilab_capped(*argv, limit_mib=128)`` runs ``semilab argv...`` in a

@@ -348,7 +348,8 @@ def test_bad_params_exit2(tmp_path, capsys):
 
 @pytest.mark.parametrize("target, reason", [
     ("no-dir/out.json", "No such file or directory"),
-    ("a-dir", "Is a directory")])
+    ("a-dir", "Is a directory"),
+    ("a-file/out.json", "Not a directory")])
 def test_unusable_out_refused_before_the_analysis(tmp_path, capsys,
                                                   monkeypatch, target,
                                                   reason):
@@ -358,14 +359,16 @@ def test_unusable_out_refused_before_the_analysis(tmp_path, capsys,
         raise AssertionError("the analysis ran")
     monkeypatch.setattr(cli, "kb_complete", not_called)
     (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("kept")
     out = tmp_path / target
     argv = ["kb", str(INPUTS / "quadruple.pres"), "--out", str(out)]
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {out}: {reason}\n"
-    # nothing was created
-    assert [p.name for p in tmp_path.rglob("*")] == ["a-dir"]
+    # nothing was created or truncated
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-dir", "a-file"]
+    assert (tmp_path / "a-file").read_text() == "kept"
 
 
 def test_malcev_listing_too_large_exit2(tmp_path, semilab_capped):
