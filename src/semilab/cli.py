@@ -19,7 +19,11 @@ the parser once.  The report bytes are exactly those of
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.  They are
 written as they are encoded: ``_parts`` yields the text a dict key or a
 slice of a list at a time, with the joins done in C, and a generator in the
-report is drawn only as its slice is written.  ``malcev``'s violations come
+report is drawn only as its slice is written.  A list whose items share one
+shape (one scalar type, lists or tuples of one width, or dicts of one set
+of str keys) is written with one template, filled once per item from its
+columns, each column written by the same rule (see ``_encode_each``); only
+other lists are written item by item.  ``malcev``'s violations come
 as a ``ViolationListing`` and are written from its blocks, rows that share
 their first four entries: one C-side join per block with one anchor, and
 one per (u, v) head of any other block (see ``_violation_rows``), gathered
@@ -110,6 +114,8 @@ _SLICE = 4096
 # a malcev report lists every violation; past this many (about 850 MB of
 # report) it is refused before a byte is written
 MAX_LISTED_VIOLATIONS = 10_000_000
+# the malcev listing keeps at most about this many (u, v) or (x, y) texts
+_FILLED = 1 << 16
 
 
 def _parts(obj, indent: str = ""):
@@ -117,7 +123,8 @@ def _parts(obj, indent: str = ""):
     with ``indent`` the indentation of the line ``obj`` starts on.  A dict
     is written key by key.  A list, tuple or generator (written as a list)
     is drawn ``_SLICE`` items at a time, and each slice is one part, joined
-    in C when its items share a fast path (see ``_encode_each``).  With
+    in C, with one template fill per item when its items share a shape (see
+    ``_encode_each``).  With
     indent set the json module runs its pure-Python encoder, so json.dumps
     is called only for what has no exact-type path (floats, int keys,
     subclasses).  A ``ViolationListing`` is written as the list it yields,
@@ -175,21 +182,45 @@ def _encode(obj, indent: str = "") -> str:
 
 def _encode_each(values, indent: str):
     """The encodings of ``values``, each starting on a line indented by
-    ``indent``: one C-side map when they share a fast path."""
+    ``indent``: one C-side map when they share a shape.  Values of one
+    scalar type map through its encoder.  Lists or tuples of one width, and
+    dicts of one set of str keys, are one shape each, and each value gets
+    one fill of one template: a ``%d`` row template when every entry is an
+    int, else a ``%s`` template filled from the columns (the entries at one
+    index or under one key), each column encoded by this same rule.
+    Anything else, a bool among ints included, is encoded item by item."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
         kind = kinds.pop()
         if kind in _SCALARS:
             return map(_SCALARS[kind], values)
+        inner = indent + "  "
+        fields = ()
         if kind is list or kind is tuple:
-            # equal-length int rows: one %d template for the whole list
             widths = set(map(len, values))
-            if (len(widths) == 1
-                    and set(map(type, chain.from_iterable(values))) == {int}):
-                sep = ",\n" + indent + "  "
-                row = ("[" + sep[1:] + sep.join(["%d"] * widths.pop())
-                       + "\n" + indent + "]")
-                return map(row.__mod__, map(tuple, values))
+            if len(widths) == 1 and 0 not in widths:
+                brackets, width = "[]", widths.pop()
+                if set(map(type, chain.from_iterable(values))) == {int}:
+                    fields, rows = ["%d"] * width, map(tuple, values)
+                else:
+                    fields = ["%s"] * width
+                    rows = zip(*[_encode_each(column, inner)
+                                 for column in zip(*values)])
+        elif kind is dict:
+            keysets = set(map(frozenset, values))
+            keys = keysets.pop() if len(keysets) == 1 else ()
+            if keys and set(map(type, keys)) == {str}:
+                keys = sorted(keys)
+                brackets = "{}"
+                fields = [_encode_str(k).replace("%", "%%") + ": %s"
+                          for k in keys]
+                rows = zip(*[_encode_each([v[k] for v in values], inner)
+                             for k in keys])
+        if fields:
+            sep = ",\n" + inner
+            template = (brackets[0] + sep[1:] + sep.join(fields) + "\n"
+                        + indent + brackets[1])
+            return map(template.__mod__, rows)
     return [_encode(v, indent) for v in values]
 
 
@@ -198,38 +229,45 @@ def _violation_rows(report, indent: str):
     indented by ``indent``, as (rows, text) pairs with text the rows
     joined: one pair per block of its ``blocks`` that has one anchor, and
     one per (u, v) head of any other block.  A row is its (a, b, c, d, u,
-    v) head plus its (x, y) tail; the (u, v) and (x, y) texts are made once
-    per report, so each pair's text is one C-side join of them."""
+    v) head plus its (x, y) tail.  The (u, v) texts of each distinct
+    ``uvs`` tuple, and the (x, y) texts of each distinct ``anchors`` tuple,
+    are made once (see ``_Filled``), so a one-anchor block is one C-side
+    join of them with no lookup per row."""
     sep = ",\n" + indent + "  "
     opening = "[" + sep[1:] + sep.join(["%d"] * 4) + sep
-    middle = "%d" + sep + "%d" + sep
-    tail = "%d" + sep + "%d\n" + indent + "]"
+    middles = _Filled("%d" + sep + "%d" + sep)
+    tails = _Filled("%d" + sep + "%d\n" + indent + "]")
     between = ",\n" + indent                    # between two rows
-    # (u, v) -> its middle and (x, y) -> its tail, at most n^2 of each
-    middles, tails = _Filled(middle), _Filled(tail)
     for system, uvs, anchors in report.blocks():
         start = opening % system
-        if len(anchors) == 1:
-            end = tails[anchors[0]]
+        ends = tails[anchors]
+        if len(ends) == 1:
+            end = ends[0]
             yield len(uvs), (start + (end + between + start).join(
-                map(middles.__getitem__, uvs)) + end)
+                middles[uvs]) + end)
             continue
-        ends = list(map(tails.__getitem__, anchors))
-        for uv in uvs:
-            head = start + middles[uv]
+        for middle in middles[uvs]:
+            head = start + middle
             yield len(ends), head + (between + head).join(ends)
 
 
 class _Filled(dict):
-    """key -> ``template % key``, each filled on its first lookup."""
+    """A tuple of keys -> the texts ``template % key`` of its keys, filled
+    on its first lookup.  Once it holds ``_FILLED`` texts it is emptied
+    before the next fill, so it stays bounded."""
 
     def __init__(self, template: str):
         super().__init__()
         self.template = template
+        self.held = 0
 
-    def __missing__(self, key):
-        text = self[key] = self.template % key
-        return text
+    def __missing__(self, keys):
+        if self.held >= _FILLED:
+            self.clear()
+            self.held = 0
+        texts = self[keys] = tuple(map(self.template.__mod__, keys))
+        self.held += len(texts)
+        return texts
 
 
 def _gather(pairs):

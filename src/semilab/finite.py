@@ -368,23 +368,33 @@ def enumerate_semigroups(n: int):
     to isomorphism), in the lexicographic order of their flattened entries:
     the conjugates sigma T sigma^-1 of the representatives T that
     ``semigroup_representatives`` finds, over every permutation sigma,
-    deduplicated and sorted.  Hard cap n <= 4."""
+    deduplicated and sorted.  The flattened tables are conjugated as bytes,
+    which sort as the tuples of their entries do.  Hard cap n <= 4."""
     if not 1 <= n <= 4:
         raise TableError("enumerate_semigroups supports orders 1 to 4 only")
-    representatives = list(_lex_least_tables(n))
+    try:
+        representatives = list(map(bytes, _lex_least_tables(n)))
+    except ValueError:          # an entry outside [0, 256), so outside [0, n)
+        raise TableError(
+            f"the search produced an entry outside [0, {n})") from None
     labelled = set(representatives)
     # n = 1 has no permutation but the identity, so itemgetter always gets
     # at least two cells and returns a tuple
     for src, p in _conjugations(n):
+        # p applied to each entry, with any entry past n left for
+        # CayleyTable to refuse
+        relabel = bytes(p) + bytes(range(n, 256))
         cells = itemgetter(*src)
-        for flat in representatives:
-            labelled.add(tuple(map(p.__getitem__, cells(flat))))
+        labelled.update(bytes(cells(flat.translate(relabel)))
+                        for flat in representatives)
     for flat in sorted(labelled):
         yield _table_of(flat, n)
 
 
 def _table_of(flat, n: int) -> CayleyTable:
-    return CayleyTable(tuple(flat[i:i + n] for i in range(0, n * n, n)))
+    """The n x n table whose flattened entries are ``flat``, a tuple or
+    bytes, with tuple rows of int entries."""
+    return CayleyTable(tuple(zip(*[iter(flat)] * n)))
 
 
 def _conjugations(n: int) -> list:

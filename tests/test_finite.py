@@ -385,6 +385,33 @@ def test_searched_tables_pass_the_public_check(monkeypatch):
         next(semigroup_representatives(2))
 
 
+@pytest.mark.parametrize("entry", [2, 255, 256, 10**6])
+def test_searched_entries_past_the_order_refused(monkeypatch, entry):
+    # enumerate conjugates the tables as bytes: an entry from n up to 255
+    # passes the relabelling unchanged and one from 256 on is no byte, and
+    # both are refused as TableError
+    monkeypatch.setattr(finite, "_lex_least_tables",
+                        lambda n: iter([(0, 0, 0, entry)]))
+    with pytest.raises(TableError):
+        list(enumerate_semigroups(2))
+
+
+def test_enumerate_is_every_conjugate_of_the_representatives():
+    # reference: each representative T conjugated by every permutation p
+    # as tuples, cell (i, j) of p T p^-1 holding p[T[q i][q j]] with
+    # q = p^-1, deduplicated and sorted
+    for n, count in ((1, 1), (2, 8), (3, 113), (4, 3492)):
+        rng = range(n)
+        labelled = set()
+        for t in semigroup_representatives(n):
+            for p in permutations(rng):
+                q = sorted(rng, key=p.__getitem__)
+                labelled.add(tuple(tuple(p[t.rows[q[i]][q[j]]] for j in rng)
+                                   for i in rng))
+        assert len(labelled) == count
+        assert [t.rows for t in enumerate_semigroups(n)] == sorted(labelled)
+
+
 def full_rescan_semigroups(n):
     """Reference enumerator: after each cell it rescans every triple whose
     four products are decided, not only those that read the new cell."""

@@ -32,6 +32,20 @@ ROWS = st.integers(0, 4).flatmap(_rows) | st.lists(st.lists(INTISH),
                                                    max_size=4)
 
 
+def _array(shape):
+    """Nested int arrays of ``shape``, each level a list or a tuple."""
+    if not shape:
+        return INTISH
+    level = st.lists(_array(shape[1:]), min_size=shape[0], max_size=shape[0])
+    return level | level.map(tuple)
+
+
+# lists of int arrays that share one shape of depth 2 or 3 (an empty level
+# included); a bool leaf sends its column down the item-by-item path
+TABLES = st.lists(st.integers(0, 3), min_size=2, max_size=3).flatmap(
+    lambda shape: st.lists(_array(shape), max_size=4))
+
+
 def _records(keys):
     record = st.fixed_dictionaries({k: SCALARS | st.lists(INTISH, max_size=3)
                                     for k in keys})
@@ -44,7 +58,8 @@ RECORDS = (st.sets(STRINGS, max_size=4).flatmap(_records)
                       max_size=5))
 
 TREES = st.recursive(
-    SCALARS | ROWS | RECORDS | st.lists(INTISH) | st.lists(STRINGS),
+    SCALARS | ROWS | TABLES | RECORDS | st.lists(INTISH)
+    | st.lists(STRINGS),
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=3).map(tuple)
                       | st.dictionaries(STRINGS, children, max_size=4)
@@ -74,6 +89,12 @@ def test_encode_fast_paths_examples():
         [{"a": 1}, {"b": 2}],
         [{}, {}],
         [{"%s": [1, 2]}, {"%s": [3, 4]}],
+        [[[0, 1], [1, 0]], [[1, 1], [0, 0]]],
+        [((0,),), ((1,),)],
+        [[[1, 2]], [[3, True]]],
+        [[[1], [2, 3]]],
+        [[[]], [[]]],
+        [[1, "a"], [2, None]],
         {"z": {"y": [[0, 1], [1, 0]]}, "a": [{"k": [{"m": 1}]}]},
         {1: "int keys", 2: [1.5, float("inf")]},
     ]
@@ -100,6 +121,17 @@ def test_parts_long_lists_and_generators():
     assert "".join(_parts(report)) == json.dumps(
         {"n": 3, "violations": _int_rows(5), "empty": []}, indent=2,
         sort_keys=True)
+
+
+def test_parts_tables_past_a_slice():
+    # _SLICE + 1 tables of 2 x 2: a full slice of table templates, then
+    # one table alone
+    tables = [((i % 2, i % 3), (i % 5, i % 7)) for i in range(_SLICE + 1)]
+    parts = list(_parts(tables))
+    assert len(parts) == 5                      # "[", slice, ",", slice, "]"
+    assert "".join(parts) == json.dumps(tables, indent=2, sort_keys=True)
+    assert "".join(_parts({"tables": tables})) == json.dumps(
+        {"tables": tables}, indent=2, sort_keys=True)
 
 
 def test_parts_draw_a_generator_one_slice_at_a_time():
@@ -212,3 +244,24 @@ def test_listing_parts_hold_whole_heads_of_about_a_slice(monkeypatch):
             assert all(size <= k < size + t.n ** 2 for k in rows[:-1])
             assert 0 < rows[-1] < size + t.n ** 2
     assert anchor_counts[0] == {1, 11} and 1 not in anchor_counts[1]
+
+
+def test_listing_text_caches_stay_bounded(monkeypatch):
+    # with caches of 1 and 40 texts the listing is unchanged, and a cache
+    # never holds more than its bound plus one fill of at most n^2 texts
+    held = []
+
+    class Recorded(cli._Filled):
+        def __missing__(self, keys):
+            texts = super().__missing__(keys)
+            held.append(self.held)
+            return texts
+    monkeypatch.setattr(cli, "_Filled", Recorded)
+    t = rank1_universe(1, 11).table
+    rep = check_malcev_condition(t)
+    want = json.dumps(list(rep.iter_violations()), indent=2)
+    for bound in (1, 40):
+        monkeypatch.setattr(cli, "_FILLED", bound)
+        held.clear()
+        assert "".join(_parts(ViolationListing(rep))) == want
+        assert bound < max(held) < bound + t.n ** 2
