@@ -124,15 +124,14 @@ def _parts(obj, indent: str = ""):
     is written key by key.  A list, tuple or generator (written as a list)
     is drawn ``_SLICE`` items at a time, and each slice is one part, joined
     in C, with one template fill per item when its items share a shape (see
-    ``_encode_each``).  With
-    indent set the json module runs its pure-Python encoder, so json.dumps
-    is called only for what has no exact-type path (floats, int keys,
-    subclasses).  A ``ViolationListing`` is written as the list it yields,
-    from the texts ``_violation_rows`` makes, each a run of rows that share
-    their (a, b, c, d, u, v) head or, in a one-anchor block, a whole block.
-    Texts are gathered until they hold ``_SLICE`` rows or more and written
-    as one part, so a part ends at a head boundary and holds fewer than
-    ``_SLICE + n^2`` rows."""
+    ``_encode_each``).  With indent set the json module runs its
+    pure-Python encoder, so json.dumps is called only for what has no
+    exact-type path (floats, int keys, subclasses).  A ``ViolationListing``
+    is written as the list it yields, from the texts ``_violation_rows``
+    makes, each a run of rows that share their (a, b, c, d, u, v) head or,
+    in a one-anchor block, a whole block.  Texts are gathered until they
+    hold ``_SLICE`` rows or more and written as one part, so a part ends at
+    a head boundary and holds fewer than ``_SLICE + n^2`` rows."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
