@@ -23,14 +23,14 @@ report is drawn only as its slice is written.  A list whose items share one
 shape (one scalar type, lists or tuples of one width, or dicts of one set
 of str keys) is written with one template, filled once per item from its
 columns, each column written by the same rule (see ``_encode_each``); only
-other lists are written item by item.  ``malcev``'s violations come
-as a ``ViolationListing`` and are written from its blocks, rows that share
-their first four entries: one C-side join per block with one anchor, and
-one per (u, v) head of any other block (see ``_violation_rows``), gathered
-into parts of about ``_SLICE`` rows.  So ``malcev`` never holds its
-violation list and encodes each shared part once.  ``malcev``
-refuses, before writing anything, a table with more than
-MAX_LISTED_VIOLATIONS violations.  Exit codes: 0 the analysis completed
+other lists are written item by item.  ``malcev``'s report holds its
+``MalcevReport`` as the violations, and the listing is written from its
+blocks, rows that share their first four entries: one C-side join per
+block with one anchor, and one per (u, v) head of any other block (see
+``_violation_rows``), gathered into parts of about ``_SLICE`` rows.  So
+``malcev`` never holds its violation list and encodes each shared part
+once.  ``malcev`` refuses, before writing anything, a table with more
+than MAX_LISTED_VIOLATIONS violations.  Exit codes: 0 the analysis completed
 (finding a collision or a law failure is a completed analysis), 2 bad input
 or parameters (an --out path that cannot be written and a malcev listing
 too large to write included), 3 a search budget ran out before the answer
@@ -46,11 +46,12 @@ import errno
 import json
 import os
 import sys
+from functools import lru_cache, partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from types import GeneratorType
 
-from .embedding import (ProbeError, ViolationListing, check_malcev_condition,
+from .embedding import (MalcevReport, ProbeError, check_malcev_condition,
                         probe_embedding)
 from .fields import FieldError
 from .finite import (CayleyTable, TableError, associativity_failure,
@@ -114,7 +115,8 @@ _SLICE = 4096
 # a malcev report lists every violation; past this many (about 850 MB of
 # report) it is refused before a byte is written
 MAX_LISTED_VIOLATIONS = 10_000_000
-# the malcev listing keeps at most about this many (u, v) or (x, y) texts
+# each of the malcev listing's two text caches keeps at most this many
+# texts, or the n^2 of one tuple of keys when that is more
 _FILLED = 1 << 16
 
 
@@ -126,22 +128,23 @@ def _parts(obj, indent: str = ""):
     in C, with one template fill per item when its items share a shape (see
     ``_encode_each``).  With indent set the json module runs its
     pure-Python encoder, so json.dumps is called only for what has no
-    exact-type path (floats, int keys, subclasses).  A ``ViolationListing``
-    is written as the list it yields, from the texts ``_violation_rows``
-    makes, each a run of rows that share their (a, b, c, d, u, v) head or,
-    in a one-anchor block, a whole block.  Texts are gathered until they
-    hold ``_SLICE`` rows or more and written as one part, so a part ends at
-    a head boundary and holds fewer than ``_SLICE + n^2`` rows."""
+    exact-type path (floats, int keys, subclasses).  A ``MalcevReport``
+    is written as its list of violations, from the texts
+    ``_violation_rows`` makes, each a run of rows that share their (a, b,
+    c, d, u, v) head or, in a one-anchor block, a whole block.  Texts are
+    gathered until they hold ``_SLICE`` rows or more and written as one
+    part, so a part ends at a head boundary and holds fewer than
+    ``_SLICE + n^2`` rows."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
         yield scalar(obj)
         return
     inner = indent + "  "
-    listing = kind is ViolationListing
+    listing = kind is MalcevReport
     if listing or kind is list or kind is tuple or kind is GeneratorType:
         if listing:
-            slices = _gather(_violation_rows(obj.report, inner))
+            slices = _gather(_violation_rows(obj, inner))
         else:                           # lists of _SLICE items, until []
             items = iter(obj)
             slices = (_encode_each(chunk, inner) for chunk in
@@ -228,45 +231,34 @@ def _violation_rows(report, indent: str):
     indented by ``indent``, as (rows, text) pairs with text the rows
     joined: one pair per block of its ``blocks`` that has one anchor, and
     one per (u, v) head of any other block.  A row is its (a, b, c, d, u,
-    v) head plus its (x, y) tail.  The (u, v) texts of each distinct
-    ``uvs`` tuple, and the (x, y) texts of each distinct ``anchors`` tuple,
-    are made once (see ``_Filled``), so a one-anchor block is one C-side
-    join of them with no lookup per row."""
+    v) head plus its (x, y) tail.  The (u, v) texts of a ``uvs`` tuple,
+    and the (x, y) texts of an ``anchors`` tuple, come from one
+    ``lru_cache`` per template, so a one-anchor block is one C-side join
+    of them with no lookup per row.  A cache keeps max(1, ``_FILLED`` //
+    n^2) tuples of at most n^2 texts each: at most max(``_FILLED``, n^2)
+    texts."""
     sep = ",\n" + indent + "  "
     opening = "[" + sep[1:] + sep.join(["%d"] * 4) + sep
-    middles = _Filled("%d" + sep + "%d" + sep)
-    tails = _Filled("%d" + sep + "%d\n" + indent + "]")
+    # an empty table has no blocks and n^2 = 0
+    cached = lru_cache(max(1, _FILLED // (report.n ** 2 or 1)))
+    middles = cached(partial(_texts, "%d" + sep + "%d" + sep))
+    tails = cached(partial(_texts, "%d" + sep + "%d\n" + indent + "]"))
     between = ",\n" + indent                    # between two rows
     for system, uvs, anchors in report.blocks():
         start = opening % system
-        ends = tails[anchors]
+        ends = tails(anchors)
         if len(ends) == 1:
             end = ends[0]
             yield len(uvs), (start + (end + between + start).join(
-                middles[uvs]) + end)
+                middles(uvs)) + end)
             continue
-        for middle in middles[uvs]:
+        for middle in middles(uvs):
             head = start + middle
             yield len(ends), head + (between + head).join(ends)
 
 
-class _Filled(dict):
-    """A tuple of keys -> the texts ``template % key`` of its keys, filled
-    on its first lookup.  Once it holds ``_FILLED`` texts it is emptied
-    before the next fill, so it stays bounded."""
-
-    def __init__(self, template: str):
-        super().__init__()
-        self.template = template
-        self.held = 0
-
-    def __missing__(self, keys):
-        if self.held >= _FILLED:
-            self.clear()
-            self.held = 0
-        texts = self[keys] = tuple(map(self.template.__mod__, keys))
-        self.held += len(texts)
-        return texts
+def _texts(template: str, keys: tuple) -> tuple:
+    return tuple(map(template.__mod__, keys))
 
 
 def _gather(pairs):
@@ -388,8 +380,10 @@ def _cmd_malcev(args):
             f"{args.table}: {rep.violation_count} violations of the quadruple "
             f"condition, more than the {MAX_LISTED_VIOLATIONS} a report may "
             "list")
-    # the violations are listed while the report is written
-    report = {"n": t.n, **rep.to_json_stream()}
+    # the violations are listed from rep's blocks while the report is
+    # written
+    report = {"n": t.n, "systems_checked": rep.systems_checked,
+              "holds": rep.holds, "violations": rep}
     summary = [f"holds: {rep.holds}   systems checked: {rep.systems_checked}"]
     if not rep.holds:
         summary.append(f"violations: {rep.violation_count}   first: "

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, compress, islice, product, starmap
 from operator import add, mul
 
@@ -261,8 +261,8 @@ class MalcevReport:
     (x, y) in P_ab.
 
     ``blocks`` is the one definition of the listing's order;
-    ``iter_violations``, ``violations``, ``to_json`` and the CLI's writer
-    all expand it."""
+    ``iter_violations``, ``violations`` and ``to_json`` expand it, and
+    the CLI writes a report from its blocks."""
 
     systems_checked: int
     violation_count: int
@@ -281,23 +281,17 @@ class MalcevReport:
         P_ab - P_cd and anchors that of P_ab & P_cd.  The block's
         violations are (a, b, c, d) + (u, v) + (x, y) for each (u, v) in
         uvs and, within it, each (x, y) in anchors, so the blocks expanded
-        are in lexicographic order.  Decoded masks are kept, at most n^2
-        at a time, so equal masks share one tuple."""
+        are in lexicographic order.  The decodings of the n^2 masks used
+        last are kept, so equal masks mostly share one tuple."""
         if not self.violation_count:    # spare the scan's second pass
             return
         rng = range(self.n)
         pairs = [(x, y) for x in rng for y in rng]     # bit x n + y
-        decoded = {}
 
+        @lru_cache(len(pairs))
         def members(mask):
-            found = decoded.get(mask)
-            if found is None:
-                if len(decoded) >= len(pairs):
-                    decoded.clear()
-                # bin(mask) reversed is bit 0 first
-                found = decoded[mask] = tuple(
-                    compress(pairs, map("1".__eq__, bin(mask)[:1:-1])))
-            return found
+            # bin(mask) reversed is bit 0 first
+            return tuple(compress(pairs, map("1".__eq__, bin(mask)[:1:-1])))
 
         systems = list(zip(pairs, self.masks))
         for ab, m_ab in systems:
@@ -317,29 +311,9 @@ class MalcevReport:
     def violations(self) -> tuple:
         return tuple(self.iter_violations())
 
-    def to_json_stream(self) -> dict:
-        """The report's fields, with ``violations`` a ``ViolationListing``
-        that lists the tuples only as it is drawn."""
-        return {"systems_checked": self.systems_checked, "holds": self.holds,
-                "violations": ViolationListing(self)}
-
     def to_json(self) -> dict:
-        """``to_json_stream`` with the violations drawn into a list."""
-        report = self.to_json_stream()
-        report["violations"] = list(report["violations"])
-        return report
-
-
-@dataclass(frozen=True)
-class ViolationListing:
-    """A report's violations as a lazy list: iterating it gives
-    ``report.iter_violations()``, and a writer that knows the type may
-    encode ``report.blocks()`` instead, sharing each block's parts."""
-
-    report: MalcevReport
-
-    def __iter__(self):
-        return self.report.iter_violations()
+        return {"systems_checked": self.systems_checked, "holds": self.holds,
+                "violations": list(self.iter_violations())}
 
 
 def check_malcev_condition(t: CayleyTable) -> MalcevReport:

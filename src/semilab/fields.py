@@ -5,6 +5,7 @@ No floats anywhere."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 
 class FieldError(ValueError):
@@ -140,13 +141,9 @@ class RationalField:
         return "QQ"
 
 
-_gf_cache: dict = {}
-
-
+@cache
 def GF(p: int) -> PrimeField:
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    return PrimeField(p)
 
 
 QQ = RationalField()

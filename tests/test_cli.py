@@ -77,6 +77,16 @@ def test_malcev_verb(z3, capsys):
     assert rep["holds"] is True and rep["violations"] == []
 
 
+def test_malcev_verb_on_an_empty_table(tmp_path, capsys):
+    # order 0: no blocks, and an n^2 of 0 among the listing's cache sizes
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "table": []}))
+    code, rep = run_json(capsys, ["malcev", str(path)])
+    assert code == EXIT_OK
+    assert rep == {"n": 0, "holds": True, "systems_checked": 0,
+                   "verb": "malcev", "violations": []}
+
+
 def test_kb_verb(quad, capsys):
     code, rep = run_json(capsys, ["kb", quad])
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from semilab import rewriting
+from semilab import cli, rewriting
 from semilab.embedding import (CollisionWitness, MalcevReport, ProbeError,
                                check_malcev_condition, probe_embedding,
                                quadruple_presentation)
@@ -526,7 +526,18 @@ def test_malcev_rejects_non_associative():
         check_malcev_condition(CayleyTable(((1, 0), (0, 0))))
 
 
-def test_malcev_report_json():
+def test_malcev_report_json(tmp_path, capsys):
     rep = check_malcev_condition(CayleyTable(((0, 0), (1, 1))))
     assert rep.to_json() == {"systems_checked": 64, "holds": True,
                              "violations": []}
+    # with violations, to_json is the CLI's report without n and verb
+    t = next(t for t in enumerate_semigroups(3)
+             if check_malcev_condition(t).violation_count)
+    rep = check_malcev_condition(t)
+    assert rep.violation_count == 480
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(t.to_json()))
+    assert cli.main(["malcev", str(path)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report.pop("n") == 3 and report.pop("verb") == "malcev"
+    assert json.loads(json.dumps(rep.to_json())) == report

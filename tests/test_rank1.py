@@ -30,11 +30,14 @@ def sum_(field, xs):
 # -- fields -------------------------------------------------------------------
 
 def test_prime_field_requires_prime():
-    with pytest.raises(FieldError):
-        GF(4)
-    with pytest.raises(FieldError):
-        GF(1)
+    # a refusal is not cached: every call raises
+    for _ in range(2):
+        with pytest.raises(FieldError):
+            GF(4)
+        with pytest.raises(FieldError):
+            GF(1)
     assert GF(7).order == 7
+    assert GF(7) is GF(7)
 
 
 def test_field_arithmetic():

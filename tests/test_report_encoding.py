@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from semilab import cli
 from semilab.cli import _SLICE, _encode, _parts
-from semilab.embedding import ViolationListing, check_malcev_condition
+from semilab.embedding import MalcevReport, check_malcev_condition
 from semilab.finite import CayleyTable
 from semilab.rank1 import rank1_universe
 
@@ -168,7 +168,7 @@ def _nested(listing):
 
 
 def _listing_text(rep):
-    text = "".join(_parts(_nested(ViolationListing(rep))))
+    text = "".join(_parts(_nested(rep)))
     drawn = list(rep.iter_violations())
     # compared line by line: a failing diff of the whole text is slow
     assert text.split("\n") == json.dumps(
@@ -202,17 +202,18 @@ def test_parts_split_violation_blocks_longer_than_a_slice(monkeypatch):
     _listing_text(rep)
 
 
-def test_parts_draw_a_violation_listing_one_slice_at_a_time():
+def test_parts_draw_a_violation_listing_one_slice_at_a_time(monkeypatch):
     rep = check_malcev_condition(_monogenic(4, 9))
     biggest = max(len(uvs) * len(anchors) for _, uvs, anchors in rep.blocks())
     drawn = []
+    blocks = MalcevReport.blocks
 
-    class Counted:
-        def blocks(self):
-            for block in rep.blocks():
-                drawn.append(len(block[1]) * len(block[2]))
-                yield block
-    parts = _parts({"violations": ViolationListing(Counted())})
+    def counted(report):
+        for block in blocks(report):
+            drawn.append(len(block[1]) * len(block[2]))
+            yield block
+    monkeypatch.setattr(MalcevReport, "blocks", counted)
+    parts = _parts({"violations": rep})
     text = next(parts)                          # the key
     assert drawn == []
     text += next(parts) + next(parts)           # "[" and the first slice
@@ -236,7 +237,7 @@ def test_listing_parts_hold_whole_heads_of_about_a_slice(monkeypatch):
         want = json.dumps(list(rep.iter_violations()), indent=2)
         for size in (1, 7, _SLICE):
             monkeypatch.setattr(cli, "_SLICE", size)
-            parts = list(_parts(ViolationListing(rep)))
+            parts = list(_parts(rep))
             assert "".join(parts) == want
             # a row's closing "]" is the only one in its part
             rows = [part.count("]") for part in parts[1:-1:2]]
@@ -247,21 +248,26 @@ def test_listing_parts_hold_whole_heads_of_about_a_slice(monkeypatch):
 
 
 def test_listing_text_caches_stay_bounded(monkeypatch):
-    # with caches of 1 and 40 texts the listing is unchanged, and a cache
-    # never holds more than its bound plus one fill of at most n^2 texts
-    held = []
+    # with _FILLED at 1 and 40 the listing is unchanged, and each text
+    # cache keeps at most max(_FILLED, n^2) texts: it holds up to maxsize
+    # key tuples of at most n^2 keys each
+    caches = []
+    lru_cache = cli.lru_cache
 
-    class Recorded(cli._Filled):
-        def __missing__(self, keys):
-            texts = super().__missing__(keys)
-            held.append(self.held)
-            return texts
-    monkeypatch.setattr(cli, "_Filled", Recorded)
+    def recorded(maxsize):
+        def wrap(texts):
+            caches.append(lru_cache(maxsize)(texts))
+            return caches[-1]
+        return wrap
+    monkeypatch.setattr(cli, "lru_cache", recorded)
     t = rank1_universe(1, 11).table
     rep = check_malcev_condition(t)
     want = json.dumps(list(rep.iter_violations()), indent=2)
     for bound in (1, 40):
         monkeypatch.setattr(cli, "_FILLED", bound)
-        held.clear()
-        assert "".join(_parts(ViolationListing(rep))) == want
-        assert bound < max(held) < bound + t.n ** 2
+        caches.clear()
+        assert "".join(_parts(rep)) == want
+        sizes = [cache.cache_info().maxsize for cache in caches]
+        assert len(sizes) == 2 and None not in sizes
+        assert all(size * t.n ** 2 <= max(bound, t.n ** 2)
+                   for size in sizes)
